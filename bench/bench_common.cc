@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/eventlog.h"
 #include "common/metrics.h"
+#include "common/obs.h"
 #include "common/profiler.h"
 #include "common/provenance.h"
 #include "core/accuracy_model.h"
@@ -140,20 +141,21 @@ BenchJson::write()
         w.key("guardEvents").raw(guard::toJson());
     // Wall-clock span statistics (schema genreuse.prof/1) and process
     // metrics recorded while this bench ran — only when the profiler
-    // was enabled (GENREUSE_PROFILE), so default records are unchanged.
+    // was enabled (GENREUSE_OBS=prof=...), so default records are
+    // unchanged.
     if (profiler::hasSpans())
         w.key("profile").raw(profiler::toJson());
     if (metrics::anyNonZero())
         w.key("metrics").raw(metrics::toJson());
     // Flight-recorder traffic (counts only, no event bodies) — only
-    // when the journal was on (GENREUSE_BLACKBOX / setEnabled), so
+    // when the journal was on (GENREUSE_OBS=events=... / setEnabled), so
     // default records are unchanged.
     if (eventlog::recorded() > 0)
         w.key("events").raw(eventlog::summaryJson());
     // Reuse-efficacy audit (observed r_t vs the fit-time model, cluster
     // histograms, guard budget burn — schema genreuse.audit/1) and the
     // accuracy canary's per-layer error tracking ride along when armed
-    // (GENREUSE_AUDIT / GENREUSE_CANARY), so BENCH records from an
+    // (GENREUSE_OBS=audit,canary=...), so BENCH records from an
     // audited run carry the efficacy evidence next to the latencies.
     if (audit::enabled())
         w.key("audit").raw(audit::toJson());
@@ -162,16 +164,8 @@ BenchJson::write()
     w.endObject();
     w.endObject();
 
-    std::string doc = w.str();
-    std::FILE *f = std::fopen(path_.c_str(), "w");
-    if (!f) {
-        warn("cannot write bench JSON to ", path_);
-        return;
-    }
-    std::fputs(doc.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("[bench-json] wrote %s\n", path_.c_str());
+    if (obs::writeFile(path_, w.str()))
+        std::printf("[bench-json] wrote %s\n", path_.c_str());
 }
 
 namespace {

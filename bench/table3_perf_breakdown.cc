@@ -53,7 +53,7 @@ stageOfSpan(const std::string &path)
 }
 
 /**
- * When the profiler is live (GENREUSE_PROFILE), compare the host
+ * When the profiler is live (GENREUSE_OBS=prof=...), compare the host
  * wall-clock share of each pipeline stage against the cost model's
  * cycle-priced share. Absolute times differ by machine, so only the
  * distribution is compared — both views must agree on the paper's
@@ -68,7 +68,7 @@ reconcileWallClock(BenchJson &bj, const double model_ms[])
         const Stage s = stageOfSpan(e.path);
         if (s != Stage::NumStages)
             wall_ms[static_cast<size_t>(s)] +=
-                static_cast<double>(e.stats.totalNs) / 1e6;
+                static_cast<double>(e.stats.sum) / 1e6;
     }
     double wall_total = 0.0, model_total = 0.0;
     for (size_t s = 0; s < kStages; ++s) {

@@ -4,7 +4,7 @@
  * schema-versioned JSON artifacts and renders one consolidated report
  * on stdout —
  *
- *   genreuse.events/1         flight-recorder dumps (GENREUSE_BLACKBOX
+ *   genreuse.events/1         flight-recorder dumps (GENREUSE_OBS=events
  *                             postmortems, ood_monitor journals):
  *                             header, guard/drift/fault timeline, and
  *                             the last-N event table
@@ -26,11 +26,11 @@
  *   genreuse.bench/1          BENCH records (plus their embedded
  *                             guard/profile/metrics/events extras)
  *   genreuse.bench-suite/1    merged BENCH suites
- *   genreuse.rtrace/1         request traces (GENREUSE_RTRACE): top-K
+ *   genreuse.rtrace/1         request traces (GENREUSE_OBS=rtrace): top-K
  *                             slowest requests with per-span breakdown
  *                             (--slowest K, default 10)
  *   genreuse.tsdb/1           telemetry JSONL series
- *                             (GENREUSE_TELEMETRY): summary + final
+ *                             (GENREUSE_OBS=telemetry): summary + final
  *                             dashboard, or a live tailing dashboard
  *                             with --follow
  *
@@ -48,7 +48,7 @@
  *   ./build/examples/genreuse_inspect --baseline build/BENCH_pr4.json \
  *       build/BENCH_pr5.json
  *
- *   ./build/examples/genreuse_serve --telemetry serve.tsdb.jsonl &
+ *   ./build/examples/genreuse_serve --obs telemetry=serve.tsdb.jsonl &
  *   ./build/examples/genreuse_inspect --follow serve.tsdb.jsonl
  */
 

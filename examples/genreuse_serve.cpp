@@ -10,26 +10,23 @@
  *            [--rps 50] [--queue 16] [--policy block|reject]
  *            [--poisson] [--events out.events.json]
  *            [--deadline 50ms] [--overload-delay 20ms]
- *            [--health out.health.json]
- *            [--telemetry out.tsdb.jsonl[:interval]]
- *            [--rtrace out.rtrace.json[:rate]]
- *            [--canary 0.05] [--slo 20ms[:interval]] [--audit]
+ *            [--health out.health.json] [--obs <spec>]
+ *            [--slo 20ms[:interval]]
  *
- * --telemetry streams genreuse.tsdb/1 JSONL samples while the run is
- * live (tail with `genreuse_inspect --follow`); --rtrace records
- * per-request span decompositions and writes a genreuse.rtrace/1
- * artifact (slowest-request table via genreuse_inspect, Chrome trace
- * events via chrome://tracing). Both mirror the GENREUSE_TELEMETRY /
- * GENREUSE_RTRACE env hooks.
- *
- * --canary R samples a fraction R of guarded forwards onto the exact
- * path and tracks the true relative error per layer (mirrors
- * GENREUSE_CANARY); --audit arms the reuse-efficacy audit (mirrors
- * GENREUSE_AUDIT); --slo P99MS runs the burn-rate monitor with the
- * default objective set (p99 latency at P99MS, shed/fail availability,
- * canary accuracy floor), holding health Degraded while any alert
- * fires. All three publish telemetry sources, so their panels appear
- * on the --follow dashboard.
+ * --obs arms observers with the GENREUSE_OBS grammar (common/obs.h),
+ * e.g. --obs telemetry=out.tsdb.jsonl@100ms,rtrace=out.rtrace.json,
+ * audit,canary=0.05. telemetry streams genreuse.tsdb/1 JSONL samples
+ * while the run is live (tail with `genreuse_inspect --follow`);
+ * rtrace records per-request span decompositions and writes a
+ * genreuse.rtrace/1 artifact (slowest-request table via
+ * genreuse_inspect, Chrome trace events via chrome://tracing); canary
+ * samples a fraction of guarded forwards onto the exact path and
+ * tracks the true relative error per layer; audit arms the
+ * reuse-efficacy audit. --slo P99MS runs the burn-rate monitor with
+ * the default objective set (p99 latency at P99MS, shed/fail
+ * availability, canary accuracy floor), holding health Degraded while
+ * any alert fires. All of these publish telemetry sources, so their
+ * panels appear on the --follow dashboard.
  *
  * Each worker owns one stream: a guarded reuse convolution fitted
  * with the same seed, so all streams are bit-identical replicas and
@@ -40,7 +37,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +44,7 @@
 #include "common/args.h"
 #include "common/eventlog.h"
 #include "common/metrics.h"
+#include "common/obs.h"
 #include "common/rtrace.h"
 #include "common/telemetry.h"
 #include "core/canary.h"
@@ -134,47 +131,15 @@ main(int argc, char **argv)
     if (!events_path.empty())
         eventlog::setEnabled(true);
 
-    // Live telemetry: start the exporter before the engine exists so
-    // the series brackets its whole lifetime (the engine registers its
-    // source at construction).
-    const std::string telemetry_spec = args.getString("telemetry");
-    if (!telemetry_spec.empty()) {
-        Status s = telemetry::startFromSpec(telemetry_spec);
-        if (!s.ok()) {
-            std::fprintf(stderr, "--telemetry: %s\n",
-                         s.message().c_str());
-            return 2;
-        }
+    // Observers are armed BEFORE the engine exists: the telemetry
+    // series brackets its whole lifetime (the engine registers its
+    // source at construction) and the very first fitted stream is
+    // audited/canaried.
+    const Status armed = obs::arm(args.getString("obs"));
+    if (!armed.ok()) {
+        std::fprintf(stderr, "--obs: %s\n", armed.toString().c_str());
+        return 2;
     }
-
-    // Request tracing: "<path>[:rate]", same grammar as GENREUSE_RTRACE.
-    std::string rtrace_path = args.getString("rtrace");
-    uint64_t rtrace_rate = 1;
-    if (!rtrace_path.empty()) {
-        const size_t colon = rtrace_path.rfind(':');
-        if (colon != std::string::npos &&
-            colon + 1 < rtrace_path.size()) {
-            const std::string suffix = rtrace_path.substr(colon + 1);
-            bool digits = !suffix.empty();
-            for (char c : suffix)
-                digits = digits && c >= '0' && c <= '9';
-            if (digits) {
-                rtrace_rate = std::strtoull(suffix.c_str(), nullptr, 10);
-                rtrace_path = rtrace_path.substr(0, colon);
-            }
-        }
-        rtrace::setExport(rtrace_path, rtrace_rate);
-        rtrace::setEnabled(true);
-    }
-
-    // Observability arms — set BEFORE the engine exists so the very
-    // first fitted stream is audited/canaried, and their telemetry
-    // sources are live when the exporter writes its start line.
-    const double canary_rate = args.getDouble("canary", 0.0);
-    if (canary_rate > 0.0)
-        canary::setRate(canary_rate);
-    if (args.has("audit"))
-        audit::setEnabled(true);
 
     SyntheticConfig data_cfg;
     data_cfg.numSamples = 8;
@@ -240,7 +205,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(st.transitions),
                         static_cast<unsigned long long>(st.ticksFiring));
     }
-    if (canary_rate > 0.0)
+    if (canary::enabled())
         std::printf("canary: %llu samples, %llu budget breaches\n",
                     static_cast<unsigned long long>(
                         canary::totalSamples()),
@@ -251,20 +216,11 @@ main(int argc, char **argv)
     // "draining", which is true but not what an operator probing a
     // live process wants to see.
     const std::string health_path = args.getString("health");
-    if (!health_path.empty()) {
-        std::string json = engine.healthJson();
-        FILE *f = std::fopen(health_path.c_str(), "w");
-        if (f != nullptr) {
-            std::fputs(json.c_str(), f);
-            std::fputc('\n', f);
-            std::fclose(f);
-            std::printf("health snapshot -> %s (render with "
-                        "genreuse_inspect %s)\n",
-                        health_path.c_str(), health_path.c_str());
-        } else {
-            std::fprintf(stderr, "cannot write %s\n", health_path.c_str());
-        }
-    }
+    if (!health_path.empty() &&
+        obs::writeFile(health_path, engine.healthJson()))
+        std::printf("health snapshot -> %s (render with "
+                    "genreuse_inspect %s)\n",
+                    health_path.c_str(), health_path.c_str());
 
     engine.shutdown();
     ServeStats st = engine.stats();
@@ -283,18 +239,19 @@ main(int argc, char **argv)
                 "%.2f ms  p99 %.2f ms  p99.9 %.2f ms\n",
                 st.p50Ms, st.p95Ms, st.p99Ms, st.p999Ms);
 
-    if (!telemetry_spec.empty()) {
-        // path() (spec minus any :interval suffix) goes away at stop().
+    if (telemetry::enabled()) {
+        // path() goes away at stop().
         const std::string tsdb_path = telemetry::path();
         telemetry::stop(); // final shutdown-flush line, then close
         std::printf("telemetry series -> %s (live view: "
                     "genreuse_inspect --follow %s)\n",
                     tsdb_path.c_str(), tsdb_path.c_str());
     }
+    const std::string rtrace_path = rtrace::exportPath();
     if (!rtrace_path.empty()) {
-        // Write now (and disarm the exit hook) so the artifact exists
+        // Write now (and disarm the exit writer) so the artifact exists
         // before the final message points at it.
-        rtrace::writeJson(rtrace_path);
+        obs::writeFile(rtrace_path, rtrace::toJson());
         rtrace::setExport("");
         std::printf("request trace -> %s (slowest requests: "
                     "genreuse_inspect --slowest 10 %s; timeline: "
@@ -303,7 +260,7 @@ main(int argc, char **argv)
     }
 
     if (!events_path.empty()) {
-        eventlog::writeJson(events_path, "genreuse_serve");
+        obs::writeFile(events_path, eventlog::toJson("genreuse_serve"));
         std::printf("event journal -> %s (stream-tagged; demux with "
                     "genreuse_inspect --events %s)\n",
                     events_path.c_str(), events_path.c_str());

@@ -6,16 +6,17 @@
  * expand convolutions, and report the per-layer latency budget on both
  * boards — everything an engineer would check before flashing.
  *
- * Run: ./build/examples/mcu_deploy [--profile out.trace.json]
+ * Run: ./build/examples/mcu_deploy [--obs prof=out.trace.json]
  *
- * --profile enables the wall-clock profiler and writes a Chrome
- * trace-event timeline of the whole deployment pass (load in
- * Perfetto / chrome://tracing), equivalent to GENREUSE_PROFILE=<path>.
+ * --obs takes a GENREUSE_OBS spec (common/obs.h); prof=<path> enables
+ * the wall-clock profiler and writes a Chrome trace-event timeline of
+ * the whole deployment pass (load in Perfetto / chrome://tracing) at
+ * exit.
  *
  * When a fault is armed (GENREUSE_FAULT=<name>) the flight recorder is
  * armed automatically: a postmortem event dump lands in
- * genreuse_blackbox.json (or GENREUSE_BLACKBOX=<path>) the moment the
- * fault fires, ready for examples/genreuse_inspect.
+ * genreuse_blackbox.json (or GENREUSE_OBS=events=<path>) the moment
+ * the fault fires, ready for examples/genreuse_inspect.
  */
 
 #include <cstdio>
@@ -23,7 +24,7 @@
 #include "common/args.h"
 #include "common/eventlog.h"
 #include "common/faultpoint.h"
-#include "common/profiler.h"
+#include "common/obs.h"
 #include "common/table.h"
 #include "core/measurement.h"
 #include "data/synthetic.h"
@@ -37,11 +38,9 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
-    const std::string profile_path = args.getString("profile");
-    if (!profile_path.empty()) {
-        profiler::setEnabled(true);
-        profiler::setTimelineCapture(true);
-    }
+    const Status armed = obs::arm(args.getString("obs"));
+    if (!armed.ok())
+        fatal("--obs: ", armed.toString());
 
     // Fault-injection runs are exactly the runs worth a black box: if
     // a fault is armed (GENREUSE_FAULT=...) and no postmortem path was
@@ -52,7 +51,7 @@ main(int argc, char **argv)
         eventlog::setEnabled(true);
         std::printf("fault injection armed: flight recorder will dump "
                     "a postmortem to genreuse_blackbox.json "
-                    "(override with GENREUSE_BLACKBOX=<path>)\n\n");
+                    "(override with GENREUSE_OBS=events=<path>)\n\n");
     }
 
     // --- model + data ----------------------------------------------
@@ -183,11 +182,5 @@ main(int argc, char **argv)
                     eventlog::blackboxPath().c_str());
     }
 
-    // --- optional wall-clock timeline -------------------------------------
-    if (!profile_path.empty()) {
-        profiler::writeChromeTrace(profile_path);
-        std::printf("wrote Chrome trace timeline to %s\n",
-                    profile_path.c_str());
-    }
     return 0;
 }

@@ -84,7 +84,7 @@ main(int argc, char **argv)
         args.getString("events", "ood_events.json");
 
     // Journal everything this run does; the artifact is written at the
-    // end (and on any panic if GENREUSE_BLACKBOX is also set).
+    // end (and on any panic if GENREUSE_OBS=events=<path> is also set).
     eventlog::setEnabled(true);
 
     std::printf("training the in-distribution model...\n");
@@ -160,7 +160,7 @@ main(int argc, char **argv)
                 any_drift ? "caught" : "did NOT catch",
                 gcfg.driftSampleBoost);
 
-    eventlog::writeJson(events_path, "ood_monitor");
+    obs::writeFile(events_path, eventlog::toJson("ood_monitor"));
     std::printf("\nflight recorder: %llu events journaled "
                 "(%llu overwritten), artifact written to %s\n"
                 "inspect it with: ./build/examples/genreuse_inspect %s\n",

@@ -7,17 +7,17 @@
  *   3. Compare output error, MAC counts, and modeled MCU latency.
  *
  * Build: cmake -B build -G Ninja && cmake --build build
- * Run:   ./build/examples/quickstart [--profile out.trace.json]
+ * Run:   ./build/examples/quickstart [--obs prof=out.trace.json]
  *
- * --profile enables the wall-clock profiler and writes a Chrome
- * trace-event timeline (load in Perfetto / chrome://tracing) of the
- * run — the same file GENREUSE_PROFILE=<path> would produce.
+ * --obs takes a GENREUSE_OBS spec (common/obs.h); prof=<path> enables
+ * the wall-clock profiler and writes a Chrome trace-event timeline
+ * (load in Perfetto / chrome://tracing) of the run at exit.
  */
 
 #include <cstdio>
 
 #include "common/args.h"
-#include "common/profiler.h"
+#include "common/obs.h"
 #include "common/trace.h"
 #include "core/latency_model.h"
 #include "core/reuse_conv.h"
@@ -30,11 +30,9 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv);
-    const std::string profile_path = args.getString("profile");
-    if (!profile_path.empty()) {
-        profiler::setEnabled(true);
-        profiler::setTimelineCapture(true);
-    }
+    const Status armed = obs::arm(args.getString("obs"));
+    if (!armed.ok())
+        fatal("--obs: ", armed.toString());
 
     // --- a conv layer and a redundant input image -------------------
     Rng rng(7);
@@ -97,15 +95,9 @@ main(int argc, char **argv)
     }
 
     // --- export the per-layer op trace as JSON ---------------------------
-    trace::writeJson("trace_quickstart.json");
+    obs::writeFile("trace_quickstart.json", trace::toJson());
     std::printf("wrote per-layer op counts to trace_quickstart.json\n");
     trace::reset();
 
-    // --- optional wall-clock timeline ------------------------------------
-    if (!profile_path.empty()) {
-        profiler::writeChromeTrace(profile_path);
-        std::printf("wrote Chrome trace timeline to %s\n",
-                    profile_path.c_str());
-    }
     return 0;
 }

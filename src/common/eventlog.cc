@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 #include "faultpoint.h"
@@ -15,10 +13,6 @@
 
 namespace genreuse {
 namespace eventlog {
-
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
 
 const char *
 typeName(Type t)
@@ -154,19 +148,6 @@ std::atomic<uint64_t> g_postmortems{0};
 
 } // namespace
 
-void
-setEnabled(bool on)
-{
-#ifdef GENREUSE_DISABLE_EVENTLOG
-    if (on)
-        warn("event journal requested but compiled out "
-             "(GENREUSE_DISABLE_EVENTLOG)");
-    (void)on;
-#else
-    detail::g_enabled.store(on, std::memory_order_relaxed);
-#endif
-}
-
 uint16_t
 intern(const std::string &s)
 {
@@ -197,15 +178,6 @@ void
 detail::recordSlow(Type type, uint16_t tag, double d0, double d1, double d2,
                    uint32_t u32, uint8_t a8)
 {
-#ifdef GENREUSE_DISABLE_EVENTLOG
-    (void)type;
-    (void)tag;
-    (void)d0;
-    (void)d1;
-    (void)d2;
-    (void)u32;
-    (void)a8;
-#else
     if (tag == 0)
         tag = t_tag;
     g_type_counts[static_cast<size_t>(type) %
@@ -229,7 +201,6 @@ detail::recordSlow(Type type, uint16_t tag, double d0, double d1, double d2,
     s.type.store(static_cast<uint8_t>(type), std::memory_order_relaxed);
     s.a8.store(a8, std::memory_order_relaxed);
     s.seq.store(seq, std::memory_order_release);
-#endif
 }
 
 LayerScope::LayerScope(const std::string &layer_name)
@@ -374,20 +345,6 @@ toJson(const std::string &reason)
     return w.str();
 }
 
-void
-writeJson(const std::string &path, const std::string &reason)
-{
-    std::string doc = toJson(reason);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write event journal to ", path);
-        return;
-    }
-    std::fputs(doc.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-}
-
 std::string
 summaryJson()
 {
@@ -445,7 +402,7 @@ dumpPostmortem(const char *reason)
         path = blackboxPathStorage();
     }
     if (!path.empty()) {
-        writeJson(path, reason);
+        obs::writeFile(path, toJson(reason));
         g_postmortems.fetch_add(1, std::memory_order_relaxed);
         metrics::counter("eventlog.postmortems").add();
         inform("flight recorder: postmortem (", reason, ") written to ",
@@ -459,32 +416,6 @@ postmortemCount()
 {
     return g_postmortems.load(std::memory_order_relaxed);
 }
-
-namespace {
-
-/** Parses GENREUSE_BLACKBOX once, before main(): arms postmortem dumps
- *  to that path and turns the journal on. */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *path = std::getenv("GENREUSE_BLACKBOX");
-        if (path == nullptr || *path == '\0')
-            return;
-#ifdef GENREUSE_DISABLE_EVENTLOG
-        warn("GENREUSE_BLACKBOX=", path,
-             " requested but the event journal is compiled out "
-             "(GENREUSE_DISABLE_EVENTLOG)");
-#else
-        setBlackboxPath(path);
-        setEnabled(true);
-#endif
-    }
-};
-
-EnvInit g_env_init;
-
-} // namespace
 
 } // namespace eventlog
 } // namespace genreuse

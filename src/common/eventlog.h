@@ -13,10 +13,8 @@
  *
  * Design mirrors the trace/profiler/faultpoint subsystems:
  *
- *  - Off by default. The hot-path gate is one relaxed atomic load per
- *    record() / LayerScope construction; the whole subsystem compiles
- *    out under GENREUSE_DISABLE_EVENTLOG (enabled() is constant false
- *    and every call site folds away).
+ *  - Off by default. The hot-path gate is one load of the obs gate
+ *    word (obs.h) per record() / LayerScope construction.
  *  - Writers are lock-free: one fetch_add claims a sequence number,
  *    the slot's payload fields are relaxed atomic stores, and a final
  *    release store of the sequence commits the slot (seqlock-style, so
@@ -26,9 +24,9 @@
  *    overwritten, and overwritten() reports how many were lost. That
  *    is the flight-recorder contract: the *recent* history survives.
  *
- * Postmortem ("black box") dumps: when GENREUSE_BLACKBOX=<path> is set
- * (which also enables the journal), the last events are dumped to that
- * path as a schema-versioned JSON artifact (genreuse.events/1) on
+ * Postmortem ("black box") dumps: when GENREUSE_OBS=events=<path> is
+ * set (which also enables the journal), the last events are dumped to
+ * that path as a schema-versioned JSON artifact (genreuse.events/1) on
  * panic()/fatal(), on a fault-point fire, and on a guard downgrade to
  * the exact-GEMM rung — so a crashed or degraded inference run leaves
  * a readable record of what led up to it. examples/genreuse_inspect
@@ -88,11 +86,12 @@
 #ifndef GENREUSE_COMMON_EVENTLOG_H
 #define GENREUSE_COMMON_EVENTLOG_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs.h"
 
 namespace genreuse {
 namespace eventlog {
@@ -140,26 +139,23 @@ struct Event
 };
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 void recordSlow(Type type, uint16_t tag, double d0, double d1, double d2,
                 uint32_t u32, uint8_t a8);
 } // namespace detail
 
-/** True when the journal is recording. The hot-path gate: one relaxed
- *  atomic load, constant-false when compiled out. */
+/** True when the journal is recording. The hot-path gate. */
 inline bool
 enabled()
 {
-#ifdef GENREUSE_DISABLE_EVENTLOG
-    return false;
-#else
-    return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
+    return obs::on(obs::kEvents);
 }
 
-/** Turn the journal on/off (warns and stays off under
- *  GENREUSE_DISABLE_EVENTLOG). */
-void setEnabled(bool on);
+/** Turn the journal on/off. */
+inline void
+setEnabled(bool on)
+{
+    obs::set(obs::kEvents, on);
+}
 
 /** Ring capacity in events (power of two). */
 constexpr size_t kCapacity = 4096;
@@ -176,9 +172,8 @@ const std::string &tagName(uint16_t tag);
 
 /**
  * Append one event. When the journal is off this is a single inlined
- * relaxed atomic load (constant false when compiled out); when on, one
- * fetch_add plus a cache-line of relaxed stores — no locks, safe from
- * any thread.
+ * relaxed atomic load; when on, one fetch_add plus a cache-line of
+ * relaxed stores — no locks, safe from any thread.
  */
 inline void
 record(Type type, uint16_t tag = 0, double d0 = 0.0, double d1 = 0.0,
@@ -249,16 +244,13 @@ void reset();
  */
 std::string toJson(const std::string &reason = "snapshot");
 
-/** Write toJson(@p reason) to @p path (overwrites). */
-void writeJson(const std::string &path,
-               const std::string &reason = "snapshot");
-
 /** Compact summary JSON (schema "genreuse.events-summary/1"): counts
  *  only, no event bodies — embedded into BENCH_*.json records. */
 std::string summaryJson();
 
-/** Arm postmortem dumps to @p path (empty disarms). GENREUSE_BLACKBOX
- *  sets this before main() and enables the journal. */
+/** Arm postmortem dumps to @p path (empty disarms).
+ *  GENREUSE_OBS=events=<path> sets this before main() and enables the
+ *  journal. */
 void setBlackboxPath(const std::string &path);
 
 /** Current postmortem destination ("" when disarmed). */

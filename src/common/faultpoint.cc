@@ -11,7 +11,6 @@ namespace faultpoint {
 namespace detail {
 
 EventSlot g_events[static_cast<size_t>(Fault::NumFaults)];
-std::atomic<int> g_numArmed{0};
 
 bool
 scheduledCheck(EventSlot &slot)
@@ -25,40 +24,6 @@ scheduledCheck(EventSlot &slot)
     const uint64_t c = slot.checks.fetch_add(1,
                                              std::memory_order_relaxed) + 1;
     return c == at;
-}
-
-namespace {
-
-/** Parses GENREUSE_FAULT once, before main() runs. A bad spec is a
- *  user error: fail loudly rather than silently testing nothing. */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *spec = std::getenv("GENREUSE_FAULT");
-        if (spec == nullptr || *spec == '\0')
-            return;
-#ifdef GENREUSE_DISABLE_FAULTPOINTS
-        warn("GENREUSE_FAULT=", spec,
-             " requested but fault points are compiled out "
-             "(GENREUSE_DISABLE_FAULTPOINTS)");
-#else
-        Status s = armSpec(spec);
-        if (!s.ok())
-            fatal("GENREUSE_FAULT: ", s.toString());
-#endif
-    }
-};
-
-EnvInit g_env_init;
-
-} // namespace
-
-void
-initFromEnvOnce()
-{
-    // The EnvInit static above already ran; this hook exists so a
-    // translation unit can force-link the registration if needed.
 }
 
 } // namespace detail
@@ -181,14 +146,6 @@ noteFired(Fault f)
 void
 armEvent(Fault f, uint64_t seed, int stream, uint64_t fire_at)
 {
-#ifdef GENREUSE_DISABLE_FAULTPOINTS
-    (void)f;
-    (void)seed;
-    (void)stream;
-    (void)fire_at;
-    warn("faultpoint::armEvent ignored: compiled out "
-         "(GENREUSE_DISABLE_FAULTPOINTS)");
-#else
     GENREUSE_REQUIRE(f != Fault::NumFaults, "cannot arm NumFaults");
     detail::EventSlot &slot = detail::g_events[static_cast<size_t>(f)];
     slot.seed.store(seed, std::memory_order_relaxed);
@@ -196,26 +153,16 @@ armEvent(Fault f, uint64_t seed, int stream, uint64_t fire_at)
                       std::memory_order_relaxed);
     slot.fireAt.store(fire_at, std::memory_order_relaxed);
     slot.checks.store(0, std::memory_order_relaxed);
-    // Arm last (and bump the gate only on idle→armed, so re-arming an
-    // armed fault never double-counts).
-    if (!slot.armed.exchange(true, std::memory_order_relaxed))
-        detail::g_numArmed.fetch_add(1, std::memory_order_relaxed);
-#endif
+    // Arm last: the slot is complete before the gate opens.
+    slot.armed.store(true, std::memory_order_relaxed);
+    obs::set(obs::kFault, true);
 }
 
 void
 arm(Fault f, uint64_t seed, int stream)
 {
-#ifdef GENREUSE_DISABLE_FAULTPOINTS
-    (void)f;
-    (void)seed;
-    (void)stream;
-    warn("faultpoint::arm ignored: compiled out "
-         "(GENREUSE_DISABLE_FAULTPOINTS)");
-#else
     disarm();
     armEvent(f, seed, stream, 0);
-#endif
 }
 
 namespace {
@@ -326,7 +273,7 @@ disarm()
         slot.fireAt.store(0, std::memory_order_relaxed);
         slot.checks.store(0, std::memory_order_relaxed);
     }
-    detail::g_numArmed.store(0, std::memory_order_relaxed);
+    obs::set(obs::kFault, false);
 }
 
 } // namespace faultpoint

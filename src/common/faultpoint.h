@@ -29,10 +29,8 @@
  * 17th request" primitive. Without :at an event is persistent, the
  * historical behavior.
  *
- * The hot-path gate is one relaxed atomic load (anyArmed()), mirroring
- * the trace gate, and the whole subsystem compiles out under
- * GENREUSE_DISABLE_FAULTPOINTS (active() becomes a constant false, so
- * every injection site folds away).
+ * The hot-path gate (anyArmed()) is one load of the obs gate word
+ * (obs.h), shared with the trace gate; the env hook lives there too.
  */
 
 #ifndef GENREUSE_COMMON_FAULTPOINT_H
@@ -43,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "obs.h"
 #include "status.h"
 #include "streamtag.h"
 
@@ -94,23 +93,16 @@ struct EventSlot
     std::atomic<uint64_t> checks{0};
 };
 extern EventSlot g_events[static_cast<size_t>(Fault::NumFaults)];
-// Armed-slot count: the single hot-path gate load.
-extern std::atomic<int> g_numArmed;
 // The scheduled (fireAt > 0) eligibility bump, out of line so the
 // inline fast paths stay load-only.
 bool scheduledCheck(EventSlot &slot);
-void initFromEnvOnce();
 } // namespace detail
 
 /** The hot-path gate: true when any fault event is armed. */
 inline bool
 anyArmed()
 {
-#ifdef GENREUSE_DISABLE_FAULTPOINTS
-    return false;
-#else
-    return detail::g_numArmed.load(std::memory_order_relaxed) > 0;
-#endif
+    return obs::on(obs::kFault);
 }
 
 /** True when @p f is armed and eligible for the calling thread's
@@ -120,11 +112,7 @@ anyArmed()
 inline bool
 active(Fault f)
 {
-#ifdef GENREUSE_DISABLE_FAULTPOINTS
-    (void)f;
-    return false;
-#else
-    if (detail::g_numArmed.load(std::memory_order_relaxed) <= 0)
+    if (!anyArmed())
         return false;
     detail::EventSlot &slot = detail::g_events[static_cast<size_t>(f)];
     if (!slot.armed.load(std::memory_order_relaxed))
@@ -135,7 +123,6 @@ active(Fault f)
     if (slot.fireAt.load(std::memory_order_relaxed) == 0)
         return true;
     return detail::scheduledCheck(slot);
-#endif
 }
 
 /** Stream @p f's armed event targets (-1 = any / not armed). */
@@ -155,8 +142,7 @@ uint64_t seed();
 void noteFired(Fault f);
 
 /** Arm @p f alone (replacing the whole armed schedule), optionally
- *  restricted to one stream id (@p stream < 0 = any). No-op when
- *  compiled out. */
+ *  restricted to one stream id (@p stream < 0 = any). */
 void arm(Fault f, uint64_t seed = 1, int stream = -1);
 
 /** Add @p f to the armed schedule without clearing other events.

@@ -1,6 +1,7 @@
 #include "hdrhist.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "logging.h"
@@ -13,14 +14,25 @@ namespace {
 inline uint32_t
 highestBit(uint64_t v)
 {
-    uint32_t b = 0;
-    while (v >>= 1)
-        ++b;
-    return b;
+    return v == 0 ? 0 : static_cast<uint32_t>(std::bit_width(v)) - 1;
 }
 
-/** Bucket bounds from geometry alone, shared with Snapshot (which has
- *  no histogram to ask). Mirrors HdrHistogram::bucketLowerBound. */
+/** Bucket index and bounds from geometry alone, shared with Snapshot
+ *  (which has no histogram to ask). */
+inline size_t
+indexFor(uint32_t sub_bits, uint32_t max_bits, uint64_t value)
+{
+    const uint64_t sub_count = uint64_t{1} << sub_bits;
+    if (value < 2 * sub_count)
+        return static_cast<size_t>(value); // exact linear region
+    if (value >= (uint64_t{1} << max_bits)) // clamp into the top bucket
+        return static_cast<size_t>(max_bits - sub_bits + 1) * sub_count - 1;
+    const uint32_t msb = highestBit(value);
+    const uint32_t shift = msb - sub_bits;
+    const uint64_t sub = (value >> shift) - sub_count;
+    return static_cast<size_t>((shift + 1) * sub_count + sub);
+}
+
 inline uint64_t
 lowerBoundFor(uint32_t sub_bits, size_t index)
 {
@@ -71,35 +83,19 @@ HdrHistogram::maxTrackableValue() const
 size_t
 HdrHistogram::bucketIndex(uint64_t value) const
 {
-    const uint64_t sub_count = uint64_t{1} << subBits_;
-    if (value < 2 * sub_count)
-        return static_cast<size_t>(value); // exact linear region
-    if (value > maxTrackableValue())
-        return nBuckets_ - 1; // clamp: overflow lands in the top bucket
-    const uint32_t msb = highestBit(value);
-    const uint32_t shift = msb - subBits_;
-    const uint64_t sub = (value >> shift) - sub_count;
-    return static_cast<size_t>((shift + 1) * sub_count + sub);
+    return indexFor(subBits_, maxBits_, value);
 }
 
 uint64_t
 HdrHistogram::bucketLowerBound(size_t index) const
 {
-    const uint64_t sub_count = uint64_t{1} << subBits_;
-    const size_t octave = index / sub_count;
-    const uint64_t sub = index % sub_count;
-    if (octave == 0)
-        return sub; // unit-width linear region
-    return (sub_count + sub) << (octave - 1);
+    return lowerBoundFor(subBits_, index);
 }
 
 uint64_t
 HdrHistogram::bucketUpperBound(size_t index) const
 {
-    const uint64_t sub_count = uint64_t{1} << subBits_;
-    const size_t octave = index / sub_count;
-    const uint64_t width = octave == 0 ? 1 : (uint64_t{1} << (octave - 1));
-    return bucketLowerBound(index) + width - 1;
+    return upperBoundFor(subBits_, index);
 }
 
 uint64_t
@@ -262,6 +258,42 @@ HdrHistogram::Snapshot::mean() const
     if (count == 0)
         return 0.0;
     return static_cast<double>(sum) / static_cast<double>(count);
+}
+
+void
+HdrHistogram::Snapshot::record(uint64_t value)
+{
+    if (counts.empty())
+        counts.assign(static_cast<size_t>(maxBits - subBits + 1)
+                          << subBits,
+                      0);
+    if (value >= (uint64_t{1} << maxBits))
+        ++overflow;
+    ++counts[indexFor(subBits, maxBits, value)];
+    min = count == 0 ? value : std::min(min, value);
+    max = std::max(max, value);
+    ++count;
+    sum += value;
+}
+
+void
+HdrHistogram::Snapshot::merge(const Snapshot &other)
+{
+    if (other.count == 0)
+        return;
+    if (count == 0) {
+        *this = other;
+        return;
+    }
+    GENREUSE_REQUIRE(subBits == other.subBits && maxBits == other.maxBits,
+                     "hdrhist snapshot merge requires identical geometry");
+    for (size_t i = 0; i < counts.size(); ++i)
+        counts[i] += other.counts[i];
+    min = std::min(min, other.min);
+    max = std::max(max, other.max);
+    count += other.count;
+    sum += other.sum;
+    overflow += other.overflow;
 }
 
 uint64_t

@@ -123,6 +123,16 @@ class HdrHistogram
         bool empty() const { return count == 0; }
         double mean() const;
 
+        /** Record one value into this (single-owner, non-atomic)
+         *  snapshot, sizing the buckets from the geometry on first
+         *  use: a plain-value histogram for per-thread accumulators
+         *  that a lock already serializes (the profiler's spans). */
+        void record(uint64_t value);
+
+        /** Add @p other's counts (same geometry, or either side
+         *  bucketless). */
+        void merge(const Snapshot &other);
+
         /** Same rank definition and bucket math as the live
          *  histogram's valueAtPercentile (0 when empty). */
         uint64_t valueAtPercentile(double p) const;

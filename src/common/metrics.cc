@@ -34,34 +34,23 @@ gauges()
 void
 Counter::add(uint64_t delta)
 {
-#ifdef GENREUSE_DISABLE_PROFILER
-    (void)delta;
-#else
     uint64_t now = value_.fetch_add(delta, std::memory_order_relaxed) +
                    delta;
     if (profiler::timelineActive())
         profiler::recordCounterSample(name_, static_cast<double>(now));
-#endif
 }
 
 void
 Gauge::set(double v)
 {
-#ifdef GENREUSE_DISABLE_PROFILER
-    (void)v;
-#else
     value_.store(v, std::memory_order_relaxed);
     if (profiler::timelineActive())
         profiler::recordCounterSample(name_, v);
-#endif
 }
 
 void
 Gauge::setMax(double v)
 {
-#ifdef GENREUSE_DISABLE_PROFILER
-    (void)v;
-#else
     double cur = value_.load(std::memory_order_relaxed);
     while (v > cur &&
            !value_.compare_exchange_weak(cur, v,
@@ -69,7 +58,6 @@ Gauge::setMax(double v)
     }
     if (v > cur && profiler::timelineActive())
         profiler::recordCounterSample(name_, v);
-#endif
 }
 
 Counter &

@@ -9,12 +9,9 @@
  * Design mirrors trace/faultpoint: updates are single relaxed atomic
  * RMWs on pre-resolved handles (look the handle up once with
  * counter()/gauge(), then add()/set() from the hot path), the registry
- * keeps first-seen order so exports are stable, and the whole
- * subsystem compiles out with the profiler under
- * GENREUSE_DISABLE_PROFILER (updates become no-ops; snapshots are
- * empty).
+ * keeps first-seen order so exports are stable.
  *
- * While a profiler timeline capture is active (GENREUSE_PROFILE),
+ * While a profiler timeline capture is active (GENREUSE_OBS=prof=...),
  * every update is also sampled into the Chrome-trace counter tracks,
  * so gauges/counters plot over time next to the span timeline.
  */

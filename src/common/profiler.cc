@@ -2,23 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 
 #include "json.h"
-#include "logging.h"
 #include "metrics.h"
 
 namespace genreuse {
 namespace profiler {
 
 namespace detail {
-
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_timeline{false};
 
 namespace {
 
@@ -82,7 +75,10 @@ struct ThreadState
         for (auto &entry : stats)
             if (entry.first == p)
                 return entry.second;
-        stats.emplace_back(p, SpanStats{});
+        SpanStats fresh;
+        fresh.subBits = kSpanSubBucketBits;
+        fresh.maxBits = kSpanMaxValueBits;
+        stats.emplace_back(p, std::move(fresh));
         return stats.back().second;
     }
 };
@@ -141,7 +137,7 @@ beginSpan(const char *name)
     if (!st.path.empty())
         st.path += '/';
     st.path += name;
-    if (g_timeline.load(std::memory_order_relaxed)) {
+    if (timelineActive()) {
         if (st.events.size() < kMaxEventsPerThread)
             st.events.push_back({true, name, ts});
         else
@@ -161,7 +157,7 @@ endSpan()
     st.stack.pop_back();
     const uint64_t dur = ts >= frame.startNs ? ts - frame.startNs : 0;
     st.statsFor(st.path).record(dur);
-    if (g_timeline.load(std::memory_order_relaxed)) {
+    if (timelineActive()) {
         const size_t leaf_at =
             frame.prevPathLen == 0 ? 0 : frame.prevPathLen + 1;
         if (st.events.size() < kMaxEventsPerThread)
@@ -173,78 +169,6 @@ endSpan()
 }
 
 } // namespace detail
-
-void
-setEnabled(bool on)
-{
-#ifdef GENREUSE_DISABLE_PROFILER
-    if (on)
-        warn("profiling requested but compiled out "
-             "(GENREUSE_DISABLE_PROFILER)");
-    (void)on;
-#else
-    detail::g_enabled.store(on, std::memory_order_relaxed);
-#endif
-}
-
-void
-setTimelineCapture(bool on)
-{
-#ifdef GENREUSE_DISABLE_PROFILER
-    if (on)
-        warn("timeline capture requested but compiled out "
-             "(GENREUSE_DISABLE_PROFILER)");
-    (void)on;
-#else
-    detail::g_timeline.store(on, std::memory_order_relaxed);
-#endif
-}
-
-void
-SpanStats::record(uint64_t ns)
-{
-    count++;
-    totalNs += ns;
-    minNs = std::min(minNs, ns);
-    maxNs = std::max(maxNs, ns);
-    // Bucket i covers [2^i, 2^(i+1)) ns; 0 ns lands in bucket 0.
-    size_t b = 0;
-    for (uint64_t v = ns; v > 1 && b + 1 < kHistBuckets; v >>= 1)
-        b++;
-    hist[b]++;
-}
-
-void
-SpanStats::merge(const SpanStats &o)
-{
-    count += o.count;
-    totalNs += o.totalNs;
-    minNs = std::min(minNs, o.minNs);
-    maxNs = std::max(maxNs, o.maxNs);
-    for (size_t i = 0; i < kHistBuckets; ++i)
-        hist[i] += o.hist[i];
-}
-
-uint64_t
-SpanStats::quantileNs(double q) const
-{
-    if (count == 0)
-        return 0;
-    const uint64_t target = static_cast<uint64_t>(
-        std::ceil(q * static_cast<double>(count)));
-    uint64_t seen = 0;
-    for (size_t i = 0; i < kHistBuckets; ++i) {
-        seen += hist[i];
-        if (seen >= target && hist[i] > 0) {
-            // Geometric midpoint of [2^i, 2^(i+1)), clamped to the
-            // observed range so estimates never leave [min, max].
-            double mid = std::exp2(static_cast<double>(i) + 0.5);
-            uint64_t est = static_cast<uint64_t>(mid);
-            return std::clamp(est, minNs, maxNs);
-        }
-    }
-    return maxNs;
-}
 
 std::vector<SpanEntry>
 snapshot()
@@ -336,17 +260,12 @@ droppedEvents()
 void
 recordCounterSample(const std::string &name, double value)
 {
-#ifdef GENREUSE_DISABLE_PROFILER
-    (void)name;
-    (void)value;
-#else
     const uint64_t ts = detail::nowNs();
     std::lock_guard<std::mutex> lock(detail::g_counter_mutex);
     if (detail::counterSamples().size() < detail::kMaxCounterSamples)
         detail::counterSamples().push_back({name, value, ts});
     else
         detail::g_dropped.fetch_add(1, std::memory_order_relaxed);
-#endif
 }
 
 std::string
@@ -362,11 +281,11 @@ toJson()
         w.beginObject();
         w.key("path").value(e.path);
         w.key("count").value(e.stats.count);
-        w.key("totalNs").value(e.stats.totalNs);
-        w.key("minNs").value(e.stats.count ? e.stats.minNs : 0);
-        w.key("maxNs").value(e.stats.maxNs);
-        w.key("p50Ns").value(e.stats.quantileNs(0.50));
-        w.key("p95Ns").value(e.stats.quantileNs(0.95));
+        w.key("totalNs").value(e.stats.sum);
+        w.key("minNs").value(e.stats.min);
+        w.key("maxNs").value(e.stats.max);
+        w.key("p50Ns").value(e.stats.valueAtPercentile(50.0));
+        w.key("p95Ns").value(e.stats.valueAtPercentile(95.0));
         w.endObject();
     }
     w.endArray();
@@ -379,7 +298,7 @@ toJson()
             w.beginObject();
             w.key("path").value(e.path);
             w.key("count").value(e.stats.count);
-            w.key("totalNs").value(e.stats.totalNs);
+            w.key("totalNs").value(e.stats.sum);
             w.endObject();
         }
         w.endArray();
@@ -450,64 +369,6 @@ chromeTraceJson()
     w.endObject();
     return w.str();
 }
-
-void
-writeChromeTrace(const std::string &path)
-{
-    std::string doc = chromeTraceJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write Chrome trace to ", path);
-        return;
-    }
-    std::fputs(doc.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-}
-
-namespace detail {
-namespace {
-
-std::string &
-profilePath()
-{
-    static std::string *p = new std::string;
-    return *p;
-}
-
-void
-writeProfileAtExit()
-{
-    if (!profilePath().empty())
-        writeChromeTrace(profilePath());
-}
-
-/** Parses GENREUSE_PROFILE once, before main(): enables the profiler
- *  and timeline capture, and writes the Chrome trace at exit. */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *path = std::getenv("GENREUSE_PROFILE");
-        if (path == nullptr || *path == '\0')
-            return;
-#ifdef GENREUSE_DISABLE_PROFILER
-        warn("GENREUSE_PROFILE=", path,
-             " requested but the profiler is compiled out "
-             "(GENREUSE_DISABLE_PROFILER)");
-#else
-        profilePath() = path;
-        setEnabled(true);
-        setTimelineCapture(true);
-        std::atexit(writeProfileAtExit);
-#endif
-    }
-};
-
-EnvInit g_env_init;
-
-} // namespace
-} // namespace detail
 
 } // namespace profiler
 } // namespace genreuse

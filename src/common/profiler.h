@@ -9,18 +9,16 @@
  *
  * Design mirrors the trace/faultpoint subsystems:
  *
- *  - Off by default. The hot-path gate is one relaxed atomic load per
- *    ProfSpan construction; the whole subsystem compiles out under
- *    GENREUSE_DISABLE_PROFILER (enabled() is constant false and every
- *    span folds away).
+ *  - Off by default. The hot-path gate is one load of the obs gate
+ *    word (obs.h) per ProfSpan construction.
  *  - RAII ProfSpans push onto a thread-local span stack. A span's
  *    identity is its *path* — parent names joined with '/', e.g.
  *    "conv.forward/reuse.transform/lsh.cluster" — so the same kernel
  *    is attributed separately per call context.
  *  - Durations (steady clock, ns) accumulate into per-(thread, path)
- *    stats: count / total / min / max plus a fixed-size log2-bucket
- *    histogram from which p50/p95 are estimated. snapshot() merges
- *    the per-thread tracks deterministically (sorted by path).
+ *    HDR histogram snapshots (hdrhist.h) from which count / total /
+ *    min / max and p50/p95 are read. snapshot() merges the per-thread
+ *    tracks deterministically (sorted by path).
  *
  * Two exporters:
  *
@@ -28,7 +26,7 @@
  *    BENCH_*.json by bench_common so table3 can reconcile per-stage
  *    wall time against model cycles.
  *  - Chrome trace-event JSON: with timeline capture on (setTimeline-
- *    Capture, or GENREUSE_PROFILE=<path> which also enables the
+ *    Capture, or GENREUSE_OBS=prof=<path> which also enables the
  *    profiler and writes the file at process exit), every span
  *    additionally logs B/E events per thread and metrics updates log
  *    counter samples, producing a chrome://tracing / Perfetto-loadable
@@ -38,55 +36,53 @@
 #ifndef GENREUSE_COMMON_PROFILER_H
 #define GENREUSE_COMMON_PROFILER_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "hdrhist.h"
+#include "obs.h"
+
 namespace genreuse {
 namespace profiler {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
-extern std::atomic<bool> g_timeline;
 struct ThreadState;
 ThreadState &threadState();
 void beginSpan(const char *name);
 void endSpan();
 } // namespace detail
 
-/** True when profiling is on. The hot-path gate: one relaxed atomic
- *  load, constant-false when compiled out. */
+/** True when profiling is on. The hot-path gate. */
 inline bool
 enabled()
 {
-#ifdef GENREUSE_DISABLE_PROFILER
-    return false;
-#else
-    return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
+    return obs::on(obs::kProf);
 }
 
-/** Turn runtime profiling on/off (warns and stays off under
- *  GENREUSE_DISABLE_PROFILER). */
-void setEnabled(bool on);
+/** Turn runtime profiling on/off. */
+inline void
+setEnabled(bool on)
+{
+    obs::set(obs::kProf, on);
+}
 
 /** True when Chrome-trace timeline capture is recording events. */
 inline bool
 timelineActive()
 {
-#ifdef GENREUSE_DISABLE_PROFILER
-    return false;
-#else
-    return detail::g_timeline.load(std::memory_order_relaxed);
-#endif
+    return obs::on(obs::kTimeline);
 }
 
 /** Record B/E span events and metric counter samples for the Chrome
  *  trace export (in addition to the aggregate stats). Implies nothing
- *  about enabled(); GENREUSE_PROFILE turns both on. */
-void setTimelineCapture(bool on);
+ *  about enabled(); GENREUSE_OBS=prof=<path> turns both on. */
+inline void
+setTimelineCapture(bool on)
+{
+    obs::set(obs::kTimeline, on);
+}
 
 /**
  * RAII wall-clock span. @p name must outlive the span (string
@@ -119,26 +115,15 @@ class ProfSpan
     bool active_ = false;
 };
 
-/** Number of log2(ns) histogram buckets; bucket i holds durations in
- *  [2^i, 2^(i+1)) ns, with the last bucket open-ended (~9 minutes). */
-constexpr size_t kHistBuckets = 40;
+/** Span histogram geometry: 8 sub-buckets per octave (percentiles
+ *  within 2^-3 = 12.5% of the exact order statistic) up to 2^40 ns
+ *  (~18 minutes; longer spans clamp into the top bucket). */
+constexpr uint32_t kSpanSubBucketBits = 3;
+constexpr uint32_t kSpanMaxValueBits = 40;
 
 /** Aggregated statistics for one span path (possibly merged across
- *  threads). */
-struct SpanStats
-{
-    uint64_t count = 0;
-    uint64_t totalNs = 0;
-    uint64_t minNs = UINT64_MAX;
-    uint64_t maxNs = 0;
-    uint64_t hist[kHistBuckets] = {};
-
-    void record(uint64_t ns);
-    void merge(const SpanStats &o);
-    /** Quantile estimate from the log2 histogram (geometric bucket
-     *  midpoint, clamped to [minNs, maxNs]). @p q in [0, 1]. */
-    uint64_t quantileNs(double q) const;
-};
+ *  threads): count, sum (total ns), min, max and percentiles. */
+using SpanStats = HdrHistogram::Snapshot;
 
 /** One snapshot entry: a span path and its merged stats. */
 struct SpanEntry
@@ -175,9 +160,6 @@ std::string toJson();
  *  captured timeline: B/E duration events per thread track, counter
  *  tracks from metrics samples, thread-name metadata. */
 std::string chromeTraceJson();
-
-/** Write chromeTraceJson() to @p path (overwrites). */
-void writeChromeTrace(const std::string &path);
 
 /** Hook for metrics: append a counter sample to the timeline. */
 void recordCounterSample(const std::string &name, double value);

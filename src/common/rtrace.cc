@@ -2,19 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 
 #include "json.h"
-#include "logging.h"
 
 namespace genreuse {
 namespace rtrace {
-
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
 
 namespace {
 
@@ -27,8 +20,6 @@ uint64_t g_next = 0; // committed records (monotonic)
 size_t g_sampled_count = 0;
 uint64_t g_sampled_dropped = 0;
 uint64_t g_sample_rate = 1;
-std::atomic<bool> g_export_armed{false};
-bool g_atexit_registered = false;
 
 static_assert((kCapacity & (kCapacity - 1)) == 0,
               "rtrace ring capacity must be a power of two");
@@ -43,7 +34,7 @@ exportPathStorage()
 RequestRecord *
 ring()
 {
-    // Heap-allocated once and never freed (atexit writers stay safe);
+    // Heap-allocated once and never freed (the exit writer stays safe);
     // setEnabled(true) pre-touches it so the first commit on a
     // zero-allocation serving path does not allocate.
     static RequestRecord *r = new RequestRecord[kCapacity];
@@ -55,20 +46,6 @@ sampled()
 {
     static RequestRecord *r = new RequestRecord[kMaxSampled];
     return r;
-}
-
-void
-writeAtExit()
-{
-    if (!g_export_armed.load(std::memory_order_relaxed))
-        return;
-    std::string path;
-    {
-        std::lock_guard<std::mutex> lock(g_mu);
-        path = exportPathStorage();
-    }
-    if (!path.empty())
-        writeJson(path);
 }
 
 /** Chrome trace-event timestamps are µs doubles; rebase them to the
@@ -116,8 +93,9 @@ setEnabled(bool on)
     if (on) {
         ring(); // pre-touch: no allocation later on the serving path
         sampled();
+        exportPathStorage();
     }
-    detail::g_enabled.store(on, std::memory_order_relaxed);
+    obs::set(obs::kRtrace, on);
 }
 
 void
@@ -128,8 +106,7 @@ RequestScope::commit(const RequestRecord &rec) const
     std::lock_guard<std::mutex> lock(g_mu);
     ring()[g_next & (kCapacity - 1)] = rec;
     const uint64_t seq = g_next++;
-    if (g_export_armed.load(std::memory_order_relaxed) &&
-        seq % g_sample_rate == 0) {
+    if (!exportPathStorage().empty() && seq % g_sample_rate == 0) {
         if (g_sampled_count < kMaxSampled)
             sampled()[g_sampled_count++] = rec;
         else
@@ -180,14 +157,8 @@ setExport(const std::string &path, uint64_t sample_rate)
     std::lock_guard<std::mutex> lock(g_mu);
     exportPathStorage() = path;
     g_sample_rate = std::max<uint64_t>(1, sample_rate);
-    g_export_armed.store(!path.empty(), std::memory_order_relaxed);
-    if (!path.empty()) {
+    if (!path.empty())
         sampled(); // pre-touch
-        if (!g_atexit_registered) {
-            g_atexit_registered = true;
-            std::atexit(writeAtExit);
-        }
-    }
 }
 
 const std::string &
@@ -335,53 +306,6 @@ toJson()
     w.endObject();
     return w.str();
 }
-
-void
-writeJson(const std::string &path)
-{
-    const std::string doc = toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write request trace to ", path);
-        return;
-    }
-    std::fputs(doc.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-}
-
-namespace {
-
-/** Parses GENREUSE_RTRACE=<path>[:rate] once, before main(): arms the
- *  exit-time export and enables request tracing. */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *spec = std::getenv("GENREUSE_RTRACE");
-        if (spec == nullptr || *spec == '\0')
-            return;
-        std::string s(spec);
-        uint64_t rate = 1;
-        const size_t colon = s.rfind(':');
-        if (colon != std::string::npos && colon + 1 < s.size()) {
-            const std::string suffix = s.substr(colon + 1);
-            bool digits = true;
-            for (char c : suffix)
-                digits = digits && c >= '0' && c <= '9';
-            if (digits) {
-                rate = std::strtoull(suffix.c_str(), nullptr, 10);
-                s = s.substr(0, colon);
-            }
-        }
-        setExport(s, rate);
-        setEnabled(true);
-    }
-};
-
-EnvInit g_env_init;
-
-} // namespace
 
 } // namespace rtrace
 } // namespace genreuse

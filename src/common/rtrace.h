@@ -18,8 +18,8 @@
  * Design follows the trace/profiler/eventlog gate idiom:
  *
  *  - Off by default; the disarmed cost of every hook (RequestScope
- *    construction, addVerifyNs, currentRequestId) is one relaxed
- *    atomic load — pinned by BM_RtraceGateDisabled.
+ *    construction, addVerifyNs, currentRequestId) is one load of the
+ *    obs gate word (obs.h) — pinned by BM_RtraceGateDisabled.
  *  - While a request executes, its id and span accumulators live in a
  *    thread-local slot on the owning worker (no locks, no
  *    allocation); the completed record is committed to the ring under
@@ -29,7 +29,7 @@
  *    rtrace::currentRequestId() the same way it reads
  *    streamtag::current().
  *
- * Export: GENREUSE_RTRACE=<path>[:rate] enables tracing before main()
+ * Export: GENREUSE_OBS=rtrace=<path>[@rate] enables tracing before main()
  * and writes a genreuse.rtrace/1 JSON artifact at exit — all ring
  * records plus, for every rate-th request, Chrome trace-event
  * objects (an X slice for the queue phase on a synthetic "client"
@@ -42,11 +42,12 @@
 #ifndef GENREUSE_COMMON_RTRACE_H
 #define GENREUSE_COMMON_RTRACE_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs.h"
 
 namespace genreuse {
 namespace rtrace {
@@ -78,8 +79,6 @@ constexpr int64_t kNoDeadline = INT64_MAX;
 constexpr size_t kCapacity = 1024;
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
-
 /** Per-thread in-flight request slot (engaged by RequestScope). */
 struct ThreadSlot
 {
@@ -90,12 +89,11 @@ struct ThreadSlot
 inline thread_local ThreadSlot t_slot;
 } // namespace detail
 
-/** True when request tracing is armed. The hot-path gate: one relaxed
- *  atomic load. */
+/** True when request tracing is armed. The hot-path gate. */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return obs::on(obs::kRtrace);
 }
 
 /** Turn request tracing on/off. */
@@ -220,11 +218,11 @@ std::vector<RequestRecord> snapshot();
 void reset();
 
 /**
- * Arm the exit-time export: @p path receives the genreuse.rtrace/1
- * artifact, with every @p sample_rate-th committed request expanded
- * into Chrome trace events (1 = every request). Empty path disarms.
- * GENREUSE_RTRACE=<path>[:rate] sets this before main() and enables
- * tracing.
+ * Arm the export: @p path receives the genreuse.rtrace/1 artifact,
+ * with every @p sample_rate-th committed request expanded into Chrome
+ * trace events (1 = every request). Empty path disarms.
+ * GENREUSE_OBS=rtrace=<path>[@rate] sets this before main(), enables
+ * tracing and writes the artifact at exit.
  */
 void setExport(const std::string &path, uint64_t sample_rate = 1);
 
@@ -235,9 +233,6 @@ uint64_t sampleRate();
 /** The genreuse.rtrace/1 artifact (ring records + sampled Chrome
  *  trace events). */
 std::string toJson();
-
-/** Write toJson() to @p path (overwrites). */
-void writeJson(const std::string &path);
 
 } // namespace rtrace
 } // namespace genreuse

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "args.h"
 #include "json.h"
 #include "logging.h"
 #include "metrics.h"
@@ -17,10 +16,6 @@
 
 namespace genreuse {
 namespace telemetry {
-
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
 
 namespace {
 
@@ -37,17 +32,31 @@ struct SourceEntry
 // while invoking source callbacks, so unregisterSource() returning
 // means no callback is running or will run again.
 std::mutex g_mu;
-std::condition_variable g_cv;
 std::vector<SourceEntry> *g_sources = nullptr;
 uint64_t g_next_token = 1;
 std::FILE *g_file = nullptr;
-std::string g_path;
 uint64_t g_interval_ns = kDefaultIntervalNs;
 uint64_t g_samples = 0;
 uint64_t g_seq = 0;
 bool g_stopping = false;
 std::thread *g_thread = nullptr;
 bool g_atexit_registered = false;
+
+// Heap-allocated on first use: start() can run from the GENREUSE_OBS
+// hook before this file's dynamic initializers have.
+std::condition_variable &
+cv()
+{
+    static std::condition_variable *c = new std::condition_variable;
+    return *c;
+}
+
+std::string &
+pathStorage()
+{
+    static std::string *p = new std::string;
+    return *p;
+}
 
 uint64_t
 wallNowNs()
@@ -133,7 +142,7 @@ exporterMain()
 {
     std::unique_lock<std::mutex> lock(g_mu);
     while (!g_stopping) {
-        g_cv.wait_for(lock, std::chrono::nanoseconds(g_interval_ns),
+        cv().wait_for(lock, std::chrono::nanoseconds(g_interval_ns),
                       [] { return g_stopping; });
         if (g_stopping)
             break;
@@ -182,17 +191,17 @@ start(const std::string &path, uint64_t interval_ns)
     if (g_thread != nullptr)
         return Status::error(ErrorCode::FailedPrecondition,
                              "telemetry exporter already running (",
-                             g_path, ")");
+                             pathStorage(), ")");
     std::FILE *f = std::fopen(path.c_str(), "a");
     if (f == nullptr)
         return Status::error(ErrorCode::InvalidArgument,
                              "cannot open telemetry path ", path);
     g_file = f;
-    g_path = path;
+    pathStorage() = path;
     g_interval_ns = interval_ns == 0 ? kDefaultIntervalNs : interval_ns;
     g_samples = 0;
     g_stopping = false;
-    detail::g_enabled.store(true, std::memory_order_relaxed);
+    obs::set(obs::kTelemetry, true);
     // First sample synchronously: a series always starts with state at
     // start(), however short-lived the exporter is.
     writeSampleLocked("start");
@@ -216,18 +225,18 @@ stop()
         t = g_thread;
         g_thread = nullptr;
     }
-    g_cv.notify_all();
+    cv().notify_all();
     t->join();
     delete t;
     std::lock_guard<std::mutex> lock(g_mu);
     // Final flush: the last line always reflects shutdown-time state.
     writeSampleLocked("shutdown");
-    detail::g_enabled.store(false, std::memory_order_relaxed);
+    obs::set(obs::kTelemetry, false);
     if (g_file != nullptr) {
         std::fclose(g_file);
         g_file = nullptr;
     }
-    g_path.clear();
+    pathStorage().clear();
 }
 
 void
@@ -248,7 +257,7 @@ std::string
 path()
 {
     std::lock_guard<std::mutex> lock(g_mu);
-    return g_path;
+    return pathStorage();
 }
 
 uint64_t
@@ -257,45 +266,6 @@ intervalNs()
     std::lock_guard<std::mutex> lock(g_mu);
     return g_interval_ns;
 }
-
-Status
-startFromSpec(const std::string &spec)
-{
-    std::string p = spec;
-    uint64_t interval = kDefaultIntervalNs;
-    const size_t colon = p.rfind(':');
-    if (colon != std::string::npos && colon + 1 < p.size()) {
-        Expected<uint64_t> ns = parseDurationNs(p.substr(colon + 1));
-        if (ns.ok()) {
-            interval = *ns;
-            p = p.substr(0, colon);
-        }
-    }
-    if (p.empty())
-        return Status::error(ErrorCode::InvalidArgument,
-                             "empty telemetry path in spec ", spec);
-    return start(p, interval);
-}
-
-namespace {
-
-/** Parses GENREUSE_TELEMETRY=<path>[:interval] once, before main(). */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *spec = std::getenv("GENREUSE_TELEMETRY");
-        if (spec == nullptr || *spec == '\0')
-            return;
-        Status s = startFromSpec(spec);
-        if (!s.ok())
-            warn("GENREUSE_TELEMETRY: ", s.message());
-    }
-};
-
-EnvInit g_env_init;
-
-} // namespace
 
 } // namespace telemetry
 } // namespace genreuse

@@ -18,15 +18,15 @@
  *
  * Lifecycle follows the profiler/eventlog idiom:
  *
- *  - GENREUSE_TELEMETRY=<path>[:interval] starts the exporter before
- *    main() (interval accepts parseDurationNs forms — "250ms", "1s";
- *    default 500ms) and a process-exit hook stops it.
+ *  - GENREUSE_OBS=telemetry=<path>[@interval] starts the exporter
+ *    before main() (interval accepts parseDurationNs forms — "250ms",
+ *    "1s"; default 500ms) and a process-exit hook stops it.
  *  - start() writes the first sample synchronously, the thread writes
  *    one per interval, and stop() writes one final shutdown-flush
  *    sample after joining — so even an immediately-stopped exporter
  *    leaves a well-formed two-line series, and the last line always
  *    reflects final state.
- *  - enabled() is one relaxed atomic load (pinned by
+ *  - enabled() is one load of the obs gate word (pinned by
  *    BM_TelemetryGateDisabled) for callers that want to skip work
  *    when nothing is listening.
  */
@@ -34,25 +34,20 @@
 #ifndef GENREUSE_COMMON_TELEMETRY_H
 #define GENREUSE_COMMON_TELEMETRY_H
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 
-#include "status.h"
+#include "obs.h"
 
 namespace genreuse {
 namespace telemetry {
 
-namespace detail {
-extern std::atomic<bool> g_enabled;
-} // namespace detail
-
-/** True while the exporter is running. One relaxed atomic load. */
+/** True while the exporter is running. */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return obs::on(obs::kTelemetry);
 }
 
 /** A registered snapshot callback: returns one *compact* JSON object
@@ -73,8 +68,8 @@ void unregisterSource(uint64_t token);
 
 /**
  * Start the exporter: open (append) @p path, write one sample
- * immediately, then one per @p interval_ns until stop(). Errors when
- * already running or the file cannot be opened.
+ * immediately, then one per @p interval_ns (0 = 500ms) until stop().
+ * Errors when already running or the file cannot be opened.
  */
 Status start(const std::string &path, uint64_t interval_ns);
 
@@ -92,12 +87,6 @@ uint64_t samples();
 /** Current output path ("" when not running) / interval. */
 std::string path();
 uint64_t intervalNs();
-
-/**
- * Parse a GENREUSE_TELEMETRY-style spec "<path>[:interval]" and start
- * the exporter (the env hook and --telemetry CLI flags share this).
- */
-Status startFromSpec(const std::string &spec);
 
 } // namespace telemetry
 } // namespace genreuse

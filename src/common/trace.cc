@@ -1,6 +1,5 @@
 #include "trace.h"
 
-#include <cstdio>
 #include <mutex>
 
 #include "json.h"
@@ -105,10 +104,6 @@ OpLedger::clear()
 
 namespace trace {
 
-namespace detail {
-std::atomic<bool> g_enabled{false};
-} // namespace detail
-
 namespace {
 
 constexpr const char *kUntagged = "(untagged)";
@@ -180,18 +175,6 @@ untaggedMerged()
 }
 
 } // namespace
-
-void
-setEnabled(bool on)
-{
-#ifdef GENREUSE_DISABLE_TRACE
-    if (on)
-        warn("tracing requested but compiled out (GENREUSE_DISABLE_TRACE)");
-    (void)on;
-#else
-    detail::g_enabled.store(on, std::memory_order_relaxed);
-#endif
-}
 
 TraceScope::TraceScope(const std::string &layer_name)
 {
@@ -309,20 +292,6 @@ toJson()
     w.endArray();
     w.endObject();
     return w.str();
-}
-
-void
-writeJson(const std::string &path)
-{
-    std::string doc = toJson();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot write trace JSON to ", path);
-        return;
-    }
-    std::fputs(doc.c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
 }
 
 } // namespace trace

@@ -11,9 +11,8 @@
  *
  * 2. A process-wide trace registry that groups reported counts by
  *    layer. Hot-path kernels call reportOps(); when tracing is off
- *    (the default) that is a single relaxed atomic load, so the
- *    production inference path pays nothing. When enabled (runtime
- *    flag, or compiled out entirely with GENREUSE_DISABLE_TRACE),
+ *    (the default) that is one load of the obs gate word (obs.h), so
+ *    the production inference path pays nothing. When enabled,
  *    every kernel's counts accumulate into a named per-layer ledger
  *    that can be snapshotted, priced by a CostModel, and exported as
  *    schema-versioned JSON (see traceToJson()).
@@ -30,12 +29,13 @@
 #ifndef GENREUSE_COMMON_TRACE_H
 #define GENREUSE_COMMON_TRACE_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs.h"
 
 namespace genreuse {
 
@@ -96,25 +96,19 @@ class OpLedger
 
 namespace trace {
 
-namespace detail {
-extern std::atomic<bool> g_enabled;
-} // namespace detail
-
-/** True when runtime tracing is on. The hot-path gate: one relaxed
- *  atomic load, constant-false when compiled out. */
+/** True when runtime tracing is on. The hot-path gate. */
 inline bool
 enabled()
 {
-#ifdef GENREUSE_DISABLE_TRACE
-    return false;
-#else
-    return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
+    return obs::on(obs::kTrace);
 }
 
-/** Turn runtime tracing on/off (no-op build-wise under
- *  GENREUSE_DISABLE_TRACE: enabled() stays false). */
-void setEnabled(bool on);
+/** Turn runtime tracing on/off. */
+inline void
+setEnabled(bool on)
+{
+    obs::set(obs::kTrace, on);
+}
 
 /**
  * RAII layer tag: records on this thread between construction and
@@ -157,9 +151,6 @@ void reset();
  * (schema "genreuse.trace/1": per-layer per-stage op counts + totals).
  */
 std::string toJson();
-
-/** Write toJson() to @p path (overwrites). */
-void writeJson(const std::string &path);
 
 } // namespace trace
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
 #include "common/eventlog.h"
 #include "common/json.h"
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/overload.h"
 #include "common/streamtag.h"
@@ -20,9 +18,10 @@ namespace canary {
 
 namespace detail {
 
-std::atomic<uint64_t> g_rate_bits{0};
-
 namespace {
+
+// The sampling rate's double bit-pattern (the gate is the obs bit).
+std::atomic<uint64_t> g_rate_bits{0};
 
 constexpr double kEwmaAlpha = 0.2;
 
@@ -44,7 +43,6 @@ struct Registry
 {
     std::mutex mu;
     std::vector<Entry> entries;
-    uint64_t telemetryToken = 0;
 };
 
 Registry &
@@ -81,27 +79,13 @@ ci95(const Entry &e)
     return 1.96 * std::sqrt(var / n);
 }
 
-/** Arms the canary before main() when GENREUSE_CANARY parses to a
- *  positive rate. A malformed value is a user error: warn loudly. */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *v = std::getenv("GENREUSE_CANARY");
-        if (v == nullptr || *v == '\0')
-            return;
-        char *end = nullptr;
-        const double r = std::strtod(v, &end);
-        if (end == nullptr || *end != '\0' || !(r >= 0.0)) {
-            warn("GENREUSE_CANARY='", v,
-                 "' is not a rate in [0, 1]; canary stays disarmed");
-            return;
-        }
-        setRate(r);
-    }
-};
+const bool g_hooked = obs::installCanary(setRate);
 
-EnvInit g_env_init;
+// Registered for the process lifetime and empty while disarmed, so
+// arming never calls into the exporter (whose samples hold its lock
+// while they read this registry).
+const uint64_t g_source = telemetry::registerSource(
+    "canary", [] { return enabled() ? telemetryJson() : std::string(); });
 
 } // namespace
 
@@ -173,19 +157,11 @@ setRate(double r)
     uint64_t bits = 0;
     if (r > 0.0)
         std::memcpy(&bits, &r, sizeof(bits));
-    detail::Registry &reg = detail::registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    if (bits != 0 && reg.telemetryToken == 0) {
-        reg.telemetryToken =
-            telemetry::registerSource("canary", telemetryJson);
-    } else if (bits == 0 && reg.telemetryToken != 0) {
-        detail::g_rate_bits.store(0, std::memory_order_relaxed);
-        const uint64_t token = reg.telemetryToken;
-        reg.telemetryToken = 0;
-        telemetry::unregisterSource(token);
-        return;
-    }
+    // Under the registry lock so concurrent setRate calls leave the
+    // rate and the gate bit agreeing.
+    std::lock_guard<std::mutex> lock(detail::registry().mu);
     detail::g_rate_bits.store(bits, std::memory_order_relaxed);
+    obs::set(obs::kCanary, bits != 0);
 }
 
 std::vector<CanaryStats>

@@ -14,9 +14,9 @@
  * the canary is the only accuracy signal left when verification is
  * shed, so it is exempt from shedding by design.
  *
- * Arming follows the trace/faultpoint idiom: GENREUSE_CANARY=<rate>
- * (a probability in (0, 1]) or canary::setRate(); the disarmed
- * hot-path cost is one inlined relaxed atomic load
+ * Arming follows the trace/faultpoint idiom: GENREUSE_OBS=canary=<rate>
+ * (a probability in [0, 1]) or canary::setRate(); the disarmed
+ * hot-path cost is one load of the obs gate word
  * (BM_CanaryGateDisabled pins it). Sampling is deterministic — a
  * per-stream credit accumulator, not an RNG — so a rate of 1.0 means
  * literally every forward and tests replay exactly.
@@ -25,32 +25,27 @@
 #ifndef GENREUSE_CORE_CANARY_H
 #define GENREUSE_CORE_CANARY_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/obs.h"
+
 namespace genreuse {
 namespace canary {
 
-namespace detail {
-// Sampling rate as a double bit-pattern; 0 (bit-pattern of +0.0) is
-// the disarmed state the inline gate tests for.
-extern std::atomic<uint64_t> g_rate_bits;
-} // namespace detail
-
-/** The hot-path gate: one relaxed atomic load. */
+/** The hot-path gate: set while the rate is positive. */
 inline bool
 enabled()
 {
-    return detail::g_rate_bits.load(std::memory_order_relaxed) != 0;
+    return obs::on(obs::kCanary);
 }
 
 /** Current sampling rate (0.0 when disarmed). */
 double rate();
 
 /** Arm at @p rate forwards sampled per forward executed (clamped into
- *  [0, 1]; 0 disarms). GENREUSE_CANARY=<rate> does this before
+ *  [0, 1]; 0 disarms). GENREUSE_OBS=canary=<rate> does this before
  *  main(). */
 void setRate(double rate);
 

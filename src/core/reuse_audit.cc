@@ -1,7 +1,6 @@
 #include "reuse_audit.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
@@ -14,8 +13,6 @@ namespace genreuse {
 namespace audit {
 
 namespace detail {
-
-std::atomic<bool> g_enabled{false};
 
 namespace {
 
@@ -48,7 +45,6 @@ struct Registry
     // slots inherit them.
     std::vector<std::pair<const void *, std::string>> names;
     std::vector<std::pair<const void *, double>> modeled;
-    uint64_t telemetryToken = 0;
 };
 
 Registry &
@@ -107,20 +103,11 @@ slotLocked(Registry &r, const void *owner, uint16_t stream)
     return e.data;
 }
 
-/** Arms the audit before main() when GENREUSE_AUDIT is a truthy
- *  value ("0" and "" stay off, anything else arms). */
-struct EnvInit
-{
-    EnvInit()
-    {
-        const char *v = std::getenv("GENREUSE_AUDIT");
-        if (v != nullptr && *v != '\0' &&
-            !(v[0] == '0' && v[1] == '\0'))
-            setEnabled(true);
-    }
-};
-
-EnvInit g_env_init;
+// Registered for the process lifetime and empty while disarmed, so
+// arming never calls into the exporter (whose samples hold its lock
+// while they read this registry).
+const uint64_t g_source = telemetry::registerSource(
+    "audit", [] { return enabled() ? telemetryJson() : std::string(); });
 
 } // namespace
 
@@ -216,26 +203,6 @@ recordBudgetSlow(const void *owner, double measured, double budget)
 }
 
 } // namespace detail
-
-void
-setEnabled(bool on)
-{
-    detail::Registry &reg = detail::registry();
-    std::lock_guard<std::mutex> lock(reg.mu);
-    if (on && reg.telemetryToken == 0) {
-        reg.telemetryToken =
-            telemetry::registerSource("audit", telemetryJson);
-    } else if (!on && reg.telemetryToken != 0) {
-        // Flip the gate before blocking in unregisterSource so an
-        // in-flight sample is the last one to see the audit armed.
-        detail::g_enabled.store(false, std::memory_order_relaxed);
-        const uint64_t token = reg.telemetryToken;
-        reg.telemetryToken = 0;
-        telemetry::unregisterSource(token);
-        return;
-    }
-    detail::g_enabled.store(on, std::memory_order_relaxed);
-}
 
 void
 setModeled(const void *owner, double modeled_rt)

@@ -19,9 +19,9 @@
  *  - guard error-budget burn fraction (measured/budget) per layer.
  *
  * Design mirrors trace/faultpoint/eventlog: off by default, the
- * hot-path gate is ONE inlined relaxed atomic load per hook
+ * hot-path gate is ONE inlined load of the obs gate word per hook
  * (BM_AuditGateDisabled pins this), armed via audit::setEnabled() or
- * GENREUSE_AUDIT=1. When armed, hooks take a registry mutex and update
+ * GENREUSE_OBS=audit. When armed, hooks take a registry mutex and update
  * pre-grown slots — steady state performs no heap allocation (the
  * zero-alloc arena test runs with the audit armed).
  *
@@ -33,13 +33,13 @@
 #ifndef GENREUSE_CORE_REUSE_AUDIT_H
 #define GENREUSE_CORE_REUSE_AUDIT_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/hdrhist.h"
+#include "common/obs.h"
 #include "reuse_stats.h"
 
 namespace genreuse {
@@ -50,7 +50,6 @@ namespace audit {
 enum class Kernel : uint8_t { Vertical = 0, Horizontal = 1, Fc = 2 };
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 void recordForwardSlow(const void *owner, const ReuseStats &stats);
 void recordKernelSlow(Kernel kind, const ReuseStats &local);
 void recordClusteringSlow(size_t items, size_t clusters,
@@ -61,16 +60,20 @@ void recordBudgetSlow(const void *owner, double measured, double budget);
 bool suppressed();
 } // namespace detail
 
-/** The hot-path gate: one relaxed atomic load. */
+/** The hot-path gate. */
 inline bool
 enabled()
 {
-    return detail::g_enabled.load(std::memory_order_relaxed);
+    return obs::on(obs::kAudit);
 }
 
-/** Arm/disarm the audit. Arming registers the "audit" telemetry pull
- *  source (idempotent); disarming unregisters it. */
-void setEnabled(bool on);
+/** Arm/disarm the audit. The "audit" telemetry pull source reports
+ *  only while armed. */
+inline void
+setEnabled(bool on)
+{
+    obs::set(obs::kAudit, on);
+}
 
 /** One layer/stream audit slot (a snapshot copy). */
 struct LayerAudit

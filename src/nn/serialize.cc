@@ -1,6 +1,7 @@
 #include "serialize.h"
 
 #include <cstdint>
+#include <cstddef>
 #include <fstream>
 
 #include "common/logging.h"
@@ -61,10 +62,27 @@ readTensor(std::istream &is)
     GENREUSE_REQUIRE(rank <= Shape::kMaxRank, "implausible tensor rank ",
                      rank);
     std::vector<size_t> dims(rank);
+    size_t elems = 1;
+    bool overflow = false;
     for (auto &d : dims) {
         d = readU64(is);
         GENREUSE_REQUIRE(d <= (1ull << 32), "implausible dimension ", d);
+        overflow = overflow || (d != 0 && elems > SIZE_MAX / d);
+        elems *= d;
     }
+    // Each dimension is bounded but their product is not: reject a
+    // count that overflows size_t or that the rest of a seekable stream
+    // cannot hold, before allocating it.
+    size_t room = SIZE_MAX;
+    const std::streampos here = is.tellg();
+    if (here >= 0) {
+        is.seekg(0, std::ios::end);
+        room = static_cast<size_t>(is.tellg() - here) / sizeof(float);
+        is.seekg(here);
+    }
+    GENREUSE_REQUIRE(!overflow && elems <= room,
+                     "tensor element count exceeds the stream (",
+                     overflow ? "overflows size_t" : "too large", ")");
     Tensor t{Shape(dims)};
     is.read(reinterpret_cast<char *>(t.data()),
             static_cast<std::streamsize>(t.size() * sizeof(float)));

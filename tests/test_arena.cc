@@ -19,6 +19,7 @@
 
 #include "common/arena.h"
 #include "common/metrics.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/rtrace.h"
 #include "common/telemetry.h"
@@ -407,7 +408,8 @@ TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)
     // telemetry exporter must not add heap traffic to the steady-state
     // serving path — RequestScope binding, guard VerifySpan clock
     // reads, and the ring commit are all allocation-free (the ring and
-    // sampled arrays are pre-touched at setEnabled/setExport).
+    // sampled arrays are pre-touched at setEnabled/setExport). Both
+    // are armed the way GENREUSE_OBS arms them.
     ConvGeometry geom = smallGeom();
     Rng rng(10);
     Tensor x = test::redundantRows(256, 75, 8, rng);
@@ -422,14 +424,15 @@ TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)
     const std::string tsdb =
         testing::TempDir() + "arena_telemetry.jsonl";
     std::remove(tsdb.c_str());
+    rtrace::reset();
     // Huge interval: the exporter thread parks after the synchronous
     // start sample, so it contributes no concurrent allocations while
     // the counter is being read.
-    ASSERT_TRUE(
-        telemetry::start(tsdb, /*interval_ns=*/3'600'000'000'000ull)
-            .ok());
-    rtrace::reset();
-    rtrace::setEnabled(true);
+    ASSERT_TRUE(obs::arm("rtrace=" + testing::TempDir() +
+                         "arena_rtrace.json,telemetry=" + tsdb + "@3600s")
+                    .ok());
+    ASSERT_TRUE(rtrace::enabled());
+    ASSERT_TRUE(telemetry::enabled());
 
     Tensor y;
     // Warm-up with the full request choreography so scratch, ring and
@@ -461,6 +464,7 @@ TEST(ZeroAlloc, SteadyStateForwardWithTracingAndTelemetryArmed)
     EXPECT_EQ(rtrace::recorded(), 5u);
 
     rtrace::setEnabled(false);
+    rtrace::setExport("");
     rtrace::reset();
     telemetry::stop();
 }
@@ -482,8 +486,9 @@ TEST(ZeroAlloc, SteadyStateGuardedForwardWithAuditAndCanaryArmed)
                               HashMode::Random, 7);
     algo.fit(x, geom);
 
-    audit::setEnabled(true);
-    canary::setRate(1.0);
+    ASSERT_TRUE(obs::arm("audit,canary=1").ok());
+    ASSERT_TRUE(audit::enabled());
+    ASSERT_EQ(canary::rate(), 1.0);
 
     Tensor y;
     // Warm-up: grows the audit/canary registry slots and resolves the

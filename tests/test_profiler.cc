@@ -13,6 +13,7 @@
 
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/obs.h"
 #include "common/profiler.h"
 
 namespace genreuse {
@@ -83,7 +84,7 @@ TEST(Profiler, SpanPathsNest)
     EXPECT_EQ(nested->stats.count, 2u); // same path, two entries
     EXPECT_EQ(lone->stats.count, 1u);   // distinct from the nested one
     // A parent's total covers its children.
-    EXPECT_GE(outer->stats.totalNs, nested->stats.totalNs);
+    EXPECT_GE(outer->stats.sum, nested->stats.sum);
 }
 
 TEST(Profiler, StatsAreConsistent)
@@ -97,14 +98,46 @@ TEST(Profiler, StatsAreConsistent)
     const profiler::SpanEntry *e = findSpan(spans, "stats.span");
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->stats.count, 50u);
-    EXPECT_LE(e->stats.minNs, e->stats.maxNs);
-    EXPECT_GE(e->stats.totalNs, e->stats.maxNs);
-    const uint64_t p50 = e->stats.quantileNs(0.50);
-    const uint64_t p95 = e->stats.quantileNs(0.95);
-    EXPECT_GE(p50, e->stats.minNs);
-    EXPECT_LE(p50, e->stats.maxNs);
+    EXPECT_LE(e->stats.min, e->stats.max);
+    EXPECT_GE(e->stats.sum, e->stats.max);
+    const uint64_t p50 = e->stats.valueAtPercentile(50.0);
+    const uint64_t p95 = e->stats.valueAtPercentile(95.0);
+    EXPECT_GE(p50, e->stats.min);
+    EXPECT_LE(p50, e->stats.max);
     EXPECT_LE(p50, p95);
-    EXPECT_LE(p95, e->stats.maxNs);
+    EXPECT_LE(p95, e->stats.max);
+}
+
+TEST(Profiler, SpanPercentilesWithinHistogramRelativeError)
+{
+    // Span stats are HDR snapshots in the profiler's geometry, merged
+    // per path across threads. Feed a known duration distribution —
+    // 1..400 µs in 1 µs steps, dealt round-robin onto four "thread"
+    // tracks — and the merged p50/p95 must sit within the geometry's
+    // stated relative error (2^-subBucketBits) of the exact order
+    // statistics.
+    profiler::SpanStats tracks[4];
+    for (profiler::SpanStats &t : tracks) {
+        t.subBits = profiler::kSpanSubBucketBits;
+        t.maxBits = profiler::kSpanMaxValueBits;
+    }
+    constexpr uint64_t kN = 400;
+    for (uint64_t i = 1; i <= kN; ++i)
+        tracks[i % 4].record(i * 1000);
+    profiler::SpanStats merged;
+    for (const profiler::SpanStats &t : tracks)
+        merged.merge(t);
+
+    EXPECT_EQ(merged.count, kN);
+    EXPECT_EQ(merged.sum, 1000 * kN * (kN + 1) / 2);
+    EXPECT_EQ(merged.min, 1000u);
+    EXPECT_EQ(merged.max, kN * 1000);
+    const double rel = 1.0 / double(1u << profiler::kSpanSubBucketBits);
+    // Exact ranks: ceil(0.50 * 400) = 200, ceil(0.95 * 400) = 380.
+    const double p50 = double(merged.valueAtPercentile(50.0));
+    const double p95 = double(merged.valueAtPercentile(95.0));
+    EXPECT_NEAR(p50, 200'000.0, 200'000.0 * rel);
+    EXPECT_NEAR(p95, 380'000.0, 380'000.0 * rel);
 }
 
 TEST(Profiler, MultiThreadAggregationIsDeterministic)
@@ -256,7 +289,7 @@ TEST(Profiler, WriteChromeTraceProducesLoadableFile)
         profiler::ProfSpan span("file.span");
     }
     const std::string path = "test_profiler_trace.json";
-    profiler::writeChromeTrace(path);
+    ASSERT_TRUE(obs::writeFile(path, profiler::chromeTraceJson()));
     Expected<JsonValue> doc = parseJsonFile(path);
     std::remove(path.c_str());
     ASSERT_TRUE(doc.ok()) << doc.status().toString();

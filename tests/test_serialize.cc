@@ -111,6 +111,24 @@ TEST(Serialize, MissingFileDies)
         loadParameters(a, "/nonexistent/genreuse.bin"), "cannot open");
 }
 
+TEST(Serialize, OversizedElementCountDies)
+{
+    // rank 2, dims 2^32 x 2^32: each dimension passes the per-dim
+    // bound but the element count overflows size_t.
+    std::stringstream overflow;
+    for (uint64_t v : {uint64_t{2}, uint64_t{1} << 32, uint64_t{1} << 32})
+        overflow.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    ASSERT_DEATH_IF_SUPPORTED(readTensor(overflow),
+                              "tensor element count exceeds the stream");
+    // rank 2, dims 2^20 x 2^20: no overflow, but 2^40 floats cannot
+    // come out of an empty remainder.
+    std::stringstream huge;
+    for (uint64_t v : {uint64_t{2}, uint64_t{1} << 20, uint64_t{1} << 20})
+        huge.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    ASSERT_DEATH_IF_SUPPORTED(readTensor(huge),
+                              "tensor element count exceeds the stream");
+}
+
 TEST(Serialize, HashFamilyRoundTrip)
 {
     Rng rng(8);

@@ -22,6 +22,7 @@
 
 #include "common/eventlog.h"
 #include "common/json.h"
+#include "common/obs.h"
 #include "common/rtrace.h"
 #include "common/status.h"
 #include "common/telemetry.h"
@@ -243,7 +244,7 @@ TEST(Rtrace, ExportWritesSampledChromeTraceArtifact)
             ASSERT_TRUE(engine.trySubmit(input, nullptr));
         engine.shutdown();
     }
-    rtrace::writeJson(path);
+    ASSERT_TRUE(obs::writeFile(path, rtrace::toJson()));
 
     Expected<JsonValue> parsed = parseJsonFile(path);
     ASSERT_TRUE(parsed.ok()) << parsed.status().toString();

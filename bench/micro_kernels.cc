@@ -91,6 +91,54 @@ BM_Im2colCifar(benchmark::State &state)
 BENCHMARK(BM_Im2colCifar);
 
 void
+BM_Im2colCifarConv2(benchmark::State &state)
+{
+    // CifarNet conv2's expansion (256 x 1600) into a warmed buffer, the
+    // way Conv2D::forward runs it.
+    ConvGeometry geom;
+    geom.inChannels = 64;
+    geom.inHeight = 16;
+    geom.inWidth = 16;
+    geom.outChannels = 64;
+    geom.kernelH = 5;
+    geom.kernelW = 5;
+    geom.pad = 2;
+    Rng rng(2);
+    Tensor x = Tensor::randomNormal({1, 64, 16, 16}, rng);
+    Tensor cols;
+    for (auto _ : state) {
+        im2colInto(x, geom, cols);
+        benchmark::DoNotOptimize(cols.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_Im2colCifarConv2);
+
+void
+BM_FoldCifarConv1(benchmark::State &state)
+{
+    // CifarNet conv1's 1024 x 64 GEMM output folded into NCHW with the
+    // bias added on the way.
+    ConvGeometry geom;
+    geom.inChannels = 3;
+    geom.inHeight = 32;
+    geom.inWidth = 32;
+    geom.outChannels = 64;
+    geom.kernelH = 5;
+    geom.kernelW = 5;
+    geom.pad = 2;
+    Rng rng(2);
+    Tensor y = Tensor::randomNormal({geom.rows(), geom.outChannels}, rng);
+    Tensor bias = Tensor::randomNormal({geom.outChannels}, rng);
+    for (auto _ : state) {
+        Tensor act = gemmOutputToActivation(y, geom, bias.data());
+        benchmark::DoNotOptimize(act.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_FoldCifarConv1);
+
+void
 BM_ColumnReorderPixelMajor(benchmark::State &state)
 {
     ConvGeometry geom;

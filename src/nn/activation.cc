@@ -1,5 +1,8 @@
 #include "activation.h"
 
+#include <bit>
+#include <cstdint>
+
 #include "common/logging.h"
 
 namespace genreuse {
@@ -8,16 +11,21 @@ Tensor
 ReLU::forward(const Tensor &x, bool training)
 {
     Tensor y(x.shape());
+    const float *in = x.data();
+    float *out = y.data();
+    const size_t n = x.size();
+    // x > 0 ? x : +0.0f (so NaN and -0.0 become +0.0), as a bit mask:
+    // a compare-and-branch here mispredicts on every sign change.
+    for (size_t i = 0; i < n; ++i) {
+        const uint32_t keep = in[i] > 0.0f ? ~0u : 0u;
+        out[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(in[i]) & keep);
+    }
     if (training) {
-        mask_.assign(x.size(), 0);
+        mask_.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            mask_[i] = in[i] > 0.0f;
         cachedShape_ = x.shape();
         haveCache_ = true;
-    }
-    for (size_t i = 0; i < x.size(); ++i) {
-        bool pos = x[i] > 0.0f;
-        y[i] = pos ? x[i] : 0.0f;
-        if (training && pos)
-            mask_[i] = 1;
     }
     return y;
 }

@@ -77,43 +77,33 @@ Conv2D::forward(const Tensor &x, bool training)
     // name into postmortem dumps.
     eventlog::LayerScope escope(name());
     ConvGeometry geom = geometry(x.shape());
-    Tensor cols = [&] {
+    {
+        // Expand straight into the retained buffer: same-geometry
+        // forwards reuse it instead of allocating a fresh matrix. It
+        // stays readable through lastIm2col() for hash-family fitting;
+        // only a training forward arms backward().
         profiler::ProfSpan span("conv.im2col");
-        return im2col(x, geom);
-    }();
+        im2colInto(x, geom, cachedX_);
+        cachedGeom_ = geom;
+        haveCache_ = training;
+    }
     {
         OpCounts ops;
-        ops.elemMoves = cols.size(); // one element move per matrix cell
+        ops.elemMoves = cachedX_.size(); // one element move per matrix cell
         reportOps(ledger_, Stage::Transformation, ops);
     }
 
     Tensor w = weightMatrix();
-    Tensor y = algo_->multiply(cols, w, geom, ledger_);
+    Tensor y = algo_->multiply(cachedX_, w, geom, ledger_);
 
-    // Bias.
-    {
-        profiler::ProfSpan span("conv.bias");
-        const size_t n = y.shape().rows(), m = y.shape().cols();
-        for (size_t r = 0; r < n; ++r)
-            for (size_t c = 0; c < m; ++c)
-                y.at2(r, c) += bias_.value[c];
-        OpCounts ops;
-        ops.aluOps = n * m;      // bias adds
-        ops.elemMoves = n * m;   // fold back into activation layout
-        reportOps(ledger_, Stage::Recovering, ops);
-    }
-
-    if (training) {
-        cachedX_ = std::move(cols);
-        cachedGeom_ = geom;
-        haveCache_ = true;
-    } else {
-        // Keep the im2col matrix for hash-family fitting as well.
-        cachedX_ = std::move(cols);
-        cachedGeom_ = geom;
-        haveCache_ = false;
-    }
-    return gemmOutputToActivation(y, geom);
+    // Bias, added inside the fold back into the activation layout.
+    profiler::ProfSpan span("conv.bias");
+    const size_t n = y.shape().rows(), m = y.shape().cols();
+    OpCounts ops;
+    ops.aluOps = n * m;      // bias adds
+    ops.elemMoves = n * m;   // fold back into activation layout
+    reportOps(ledger_, Stage::Recovering, ops);
+    return gemmOutputToActivation(y, geom, bias_.value.data());
 }
 
 Tensor

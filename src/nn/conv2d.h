@@ -115,7 +115,10 @@ class Conv2D : public Layer
      */
     void setLedger(CostLedger *ledger) { ledger_ = ledger; }
 
-    /** im2col matrix of the last forward() input (for hash learning). */
+    /**
+     * im2col matrix of the last forward() input (for hash learning).
+     * The next forward() overwrites it in place.
+     */
     const Tensor &lastIm2col() const { return cachedX_; }
 
     /** Geometry of the last forward() input. */

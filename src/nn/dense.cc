@@ -40,9 +40,12 @@ Dense::forward(const Tensor &x, bool training)
 {
     Tensor flat = flattenSamples(x, inFeatures_);
     Tensor y = matmul(flat, weight_.value);
-    for (size_t r = 0; r < y.shape().rows(); ++r)
-        for (size_t c = 0; c < y.shape().cols(); ++c)
-            y.at2(r, c) += bias_.value[c];
+    const size_t n = y.shape().rows(), m = y.shape().cols();
+    const float *bias = bias_.value.data();
+    float *out = y.data();
+    for (size_t r = 0; r < n; ++r, out += m)
+        for (size_t c = 0; c < m; ++c)
+            out[c] += bias[c];
     if (training) {
         cachedX_ = std::move(flat);
         cachedInShape_ = x.shape();

@@ -28,6 +28,48 @@ MaxPool2D::MaxPool2D(std::string name, size_t size, size_t stride)
     GENREUSE_REQUIRE(size >= 1 && stride >= 1, "bad pooling parameters");
 }
 
+namespace {
+
+/**
+ * Max over each size x size window of every (b, c) plane; the first
+ * maximum in row-major window order wins ties, and a NaN window origin
+ * sticks (v > NaN is false). With kArgmax the winner's flat input index
+ * is written to @p argmax, one per output element.
+ */
+template <bool kArgmax>
+void
+maxPoolPlanes(const float *x, const Shape &s, size_t size, size_t stride,
+              size_t oh, size_t ow, float *y, uint32_t *argmax)
+{
+    const size_t h = s.height(), w = s.width();
+    const size_t planes = s.batch() * s.channels();
+    for (size_t pl = 0; pl < planes; ++pl) {
+        const float *plane = x + pl * h * w;
+        for (size_t yy = 0; yy < oh; ++yy) {
+            for (size_t xx = 0; xx < ow; ++xx) {
+                const size_t origin = yy * stride * w + xx * stride;
+                float best = plane[origin];
+                size_t best_at = origin;
+                for (size_t kh = 0; kh < size; ++kh) {
+                    const float *row = plane + origin + kh * w;
+                    for (size_t kw = 0; kw < size; ++kw) {
+                        if (row[kw] > best) {
+                            best = row[kw];
+                            if constexpr (kArgmax)
+                                best_at = origin + kh * w + kw;
+                        }
+                    }
+                }
+                *y++ = best;
+                if constexpr (kArgmax)
+                    *argmax++ = static_cast<uint32_t>(pl * h * w + best_at);
+            }
+        }
+    }
+}
+
+} // namespace
+
 Tensor
 MaxPool2D::forward(const Tensor &x, bool training)
 {
@@ -36,39 +78,18 @@ MaxPool2D::forward(const Tensor &x, bool training)
     size_t oh = poolOut(s.height(), size_, stride_);
     size_t ow = poolOut(s.width(), size_, stride_);
     Tensor y({s.batch(), s.channels(), oh, ow});
-    argmax_.assign(y.size(), 0);
-
-    size_t out = 0;
-    for (size_t b = 0; b < s.batch(); ++b) {
-        for (size_t c = 0; c < s.channels(); ++c) {
-            for (size_t yy = 0; yy < oh; ++yy) {
-                for (size_t xx = 0; xx < ow; ++xx, ++out) {
-                    float best = x.at4(b, c, yy * stride_, xx * stride_);
-                    size_t best_h = yy * stride_, best_w = xx * stride_;
-                    for (size_t kh = 0; kh < size_; ++kh) {
-                        for (size_t kw = 0; kw < size_; ++kw) {
-                            float v = x.at4(b, c, yy * stride_ + kh,
-                                            xx * stride_ + kw);
-                            if (v > best) {
-                                best = v;
-                                best_h = yy * stride_ + kh;
-                                best_w = xx * stride_ + kw;
-                            }
-                        }
-                    }
-                    y[out] = best;
-                    argmax_[out] = static_cast<uint32_t>(
-                        ((b * s.channels() + c) * s.height() + best_h) *
-                            s.width() +
-                        best_w);
-                }
-            }
-        }
+    if (!training) {
+        // Inference leaves argmax_ alone: a pending backward() still
+        // routes through its own training forward's winners.
+        maxPoolPlanes<false>(x.data(), s, size_, stride_, oh, ow, y.data(),
+                             nullptr);
+        return y;
     }
-    if (training) {
-        cachedInShape_ = s;
-        haveCache_ = true;
-    }
+    argmax_.resize(y.size());
+    maxPoolPlanes<true>(x.data(), s, size_, stride_, oh, ow, y.data(),
+                        argmax_.data());
+    cachedInShape_ = s;
+    haveCache_ = true;
     return y;
 }
 

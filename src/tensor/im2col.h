@@ -60,9 +60,14 @@ struct ConvGeometry
 
 /**
  * Expand @p input (B, C, H, W) into the im2col matrix (rows() x cols())
- * in the default channel-major column layout. Zero padding is applied
- * where the kernel hangs over the border.
+ * in the default channel-major column layout, written into @p out.
+ * Zero padding is applied where the kernel hangs over the border.
+ * @p out is resized, reusing its buffer when the capacity suffices, and
+ * every cell is written, so stale contents never leak through.
  */
+void im2colInto(const Tensor &input, const ConvGeometry &geom, Tensor &out);
+
+/** im2colInto() into a fresh tensor. */
 Tensor im2col(const Tensor &input, const ConvGeometry &geom);
 
 /**
@@ -82,9 +87,13 @@ Tensor matrixToKernel(const Tensor &mat, const ConvGeometry &geom);
 
 /**
  * Fold the N x M GEMM output back into the (B, M, OH, OW) activation
- * layout (rows are (b, oh, ow)-major as produced by im2col()).
+ * layout (rows are (b, oh, ow)-major as produced by im2col()). With
+ * @p bias (M values), bias[c] is added to every element of channel c
+ * during the fold: one rounding, the same bits as adding it to @p y
+ * first and folding without bias.
  */
-Tensor gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom);
+Tensor gemmOutputToActivation(const Tensor &y, const ConvGeometry &geom,
+                              const float *bias = nullptr);
 
 /** Inverse of gemmOutputToActivation (used by backprop). */
 Tensor activationToGemmOutput(const Tensor &act, const ConvGeometry &geom);

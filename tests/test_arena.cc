@@ -30,6 +30,8 @@
 #include "core/reuse_conv.h"
 #include "core/reuse_pattern.h"
 #include "lsh/lsh.h"
+#include "nn/conv2d.h"
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "test_util.h"
 
@@ -529,6 +531,41 @@ TEST(ZeroAlloc, SteadyStateFcReuseForward)
     const uint64_t before = heapAllocCount();
     fcReuseForwardInto(x, w, bias, seg, family, nullptr, nullptr, y);
     EXPECT_EQ(heapAllocCount() - before, 0u);
+}
+
+TEST(ZeroAlloc, SteadyStateIm2colInto)
+{
+    ConvGeometry geom = smallGeom();
+    Rng rng(10);
+    Tensor x = Tensor::randomNormal(
+        {geom.batch, geom.inChannels, geom.inHeight, geom.inWidth}, rng);
+
+    Tensor cols;
+    im2colInto(x, geom, cols); // sizes the buffer
+
+    const uint64_t before = heapAllocCount();
+    im2colInto(x, geom, cols);
+    EXPECT_EQ(heapAllocCount() - before, 0u);
+}
+
+TEST(ZeroAlloc, ConvInferenceForwardReusesItsIm2colBuffer)
+{
+    // Conv2D expands into its retained lastIm2col() buffer, so
+    // same-geometry forwards do not allocate a fresh matrix each time.
+    ConvGeometry geom = smallGeom();
+    Rng rng(11);
+    Conv2D conv("c", geom.inChannels, geom.outChannels, geom.kernelH,
+                geom.stride, geom.pad, rng);
+    Tensor a = Tensor::randomNormal(
+        {geom.batch, geom.inChannels, geom.inHeight, geom.inWidth}, rng);
+    Tensor b = Tensor::randomNormal(a.shape(), rng);
+
+    conv.forward(a, false);
+    const float *buffer = conv.lastIm2col().data();
+    conv.forward(b, false);
+    EXPECT_EQ(conv.lastIm2col().data(), buffer);
+    conv.forward(a, false);
+    EXPECT_EQ(conv.lastIm2col().data(), buffer);
 }
 
 } // namespace

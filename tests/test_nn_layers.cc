@@ -216,6 +216,34 @@ TEST(MaxPool, GradientCheck)
     EXPECT_LT(gradientCheck(f, x, gx, rng, 8, 1e-4), 0.05);
 }
 
+TEST(MaxPool, InferenceForwardKeepsTrainingArgmax)
+{
+    // Inference forwards between a training forward and its backward
+    // (a validation pass, a canary) must not re-route the gradient:
+    // backward() follows the training input's winners.
+    MaxPool2D pool("p", 2, 2);
+    Tensor a = Tensor::iota({1, 1, 2, 2});             // max at (1, 1)
+    Tensor b({1, 1, 2, 2}, std::vector<float>{9, 0, 0, 0}); // max at (0, 0)
+    pool.forward(a, true);
+    pool.forward(b, false);
+    Tensor g({1, 1, 1, 1}, std::vector<float>{7.0f});
+    Tensor gx = pool.backward(g);
+    EXPECT_FLOAT_EQ(gx.at4(0, 0, 1, 1), 7.0f);
+    EXPECT_FLOAT_EQ(gx.at4(0, 0, 0, 0), 0.0f);
+}
+
+TEST(Conv2DDeathTest, BackwardAfterInferenceForwardDies)
+{
+    Rng rng(11);
+    Conv2D conv("c", 1, 2, 3, 1, 1, rng);
+    Tensor x = Tensor::randomNormal({1, 1, 4, 4}, rng);
+    conv.forward(x, true);
+    conv.forward(x, false);
+    Tensor g(conv.outputShape(x.shape()));
+    ASSERT_DEATH_IF_SUPPORTED(conv.backward(g),
+                              "Conv2D::backward without training forward");
+}
+
 TEST(AvgPool, ForwardAveragesWindow)
 {
     AvgPool2D pool("p", 2, 2);

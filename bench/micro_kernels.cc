@@ -180,6 +180,41 @@ BM_LshSignatures(benchmark::State &state)
 BENCHMARK(BM_LshSignatures)->Arg(2)->Arg(4)->Arg(8);
 
 void
+BM_LshSignaturesCifarConv2(benchmark::State &state)
+{
+    // Guarded CifarNet conv2's hashing: 64 strided L = 25 slices of the
+    // 256 x 1600 im2col matrix, H = 4 hyperplanes per slice.
+    const size_t rows = 256, din = 1600, l = 25, h = 4;
+    Rng rng(4);
+    Tensor x = Tensor::randomNormal({rows, din}, rng);
+    std::vector<HashFamily> families;
+    for (size_t k = 0; k < din / l; ++k)
+        families.push_back(HashFamily::random(h, l, rng));
+    std::vector<uint64_t> sigs(rows);
+    for (auto _ : state) {
+        for (size_t k = 0; k < families.size(); ++k) {
+            StridedItems items{x.data() + k * l, rows, l, din, 1};
+            families[k].signaturesInto(items, sigs.data());
+        }
+        benchmark::DoNotOptimize(sigs.data());
+    }
+    state.SetItemsProcessed(state.iterations() * rows * din * h);
+}
+BENCHMARK(BM_LshSignaturesCifarConv2);
+
+void
+BM_GuardAllFinite(benchmark::State &state)
+{
+    // The guard's pre-reuse scan of conv2's im2col matrix (256 x 1600).
+    Rng rng(4);
+    Tensor x = Tensor::randomNormal({256, 1600}, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(simd::ops().allFinite(x.data(), x.size()));
+    state.SetBytesProcessed(state.iterations() * x.size() * sizeof(float));
+}
+BENCHMARK(BM_GuardAllFinite);
+
+void
 BM_ClusterBySignature(benchmark::State &state)
 {
     Rng rng(5);
@@ -552,11 +587,12 @@ recordDispatchSpeedups(genreuse::bench::BenchJson &bj)
     Int8Tensor qa = quantizeInt8(a);
     Int8Tensor qb = quantizeInt8(b);
     std::vector<int32_t> qc(256 * 64);
-    const size_t count = 1 << 15, l = 25, h = 8;
-    Tensor proj = Tensor::randomNormal({count, h}, rng);
+    // Conv2's hashing shape: 256 rows of a 1600-wide matrix, one
+    // L = 25 slice, H = 4.
+    const size_t rows = 256, din = 1600, l = 25, h = 4;
+    Tensor vT = Tensor::randomNormal({l, h}, rng);
     std::vector<float> biases(h, 0.0f);
-    std::vector<uint64_t> sigs(count);
-    (void)l;
+    std::vector<uint64_t> sigs(rows);
 
     struct Timed
     {
@@ -578,10 +614,12 @@ recordDispatchSpeedups(genreuse::bench::BenchJson &bj)
                                   64);
          },
          5},
-        {"signProjectDispatchSpeedup",
+        {"lshSignaturesDispatchSpeedup",
          [&] {
-             simd::ops().signProject(proj.data(), biases.data(), count,
-                                     h, sigs.data());
+             for (size_t k = 0; k < din / l; ++k)
+                 simd::ops().lshSignatures(a.data() + k * l, rows, l, din,
+                                           vT.data(), biases.data(), h,
+                                           sigs.data());
          },
          50},
     };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -121,23 +122,42 @@ scaleInPlaceScalar(float *dst, float s, size_t n)
 }
 
 void
-signProjectScalar(const float *proj, const float *biases, size_t count,
-                  size_t h, uint64_t *sigs)
+lshSignaturesScalar(const float *x, size_t count, size_t len, size_t ld,
+                    const float *vT, const float *biases, size_t h,
+                    uint64_t *sigs)
 {
     for (size_t i = 0; i < count; ++i) {
-        const float *pi = proj + i * h;
+        const float *xi = x + i * ld;
         uint64_t sig = 0;
         for (size_t f = 0; f < h; ++f) {
-            if (pi[f] + biases[f] > 0.0f)
+            // gemmF32's per-element order: one partial sum per k block.
+            float proj = 0.0f;
+            for (size_t p0 = 0; p0 < len; p0 += kBlockK) {
+                const size_t pe = std::min(len, p0 + kBlockK);
+                float acc = 0.0f;
+                for (size_t p = p0; p < pe; ++p)
+                    acc += xi[p] * vT[p * h + f];
+                proj += acc;
+            }
+            if (proj + biases[f] > 0.0f)
                 sig |= uint64_t{1} << f;
         }
         sigs[i] = sig;
     }
 }
 
+bool
+allFiniteScalar(const float *p, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",          Level::Scalar,     gemmF32Scalar, gemmInt8Scalar,
-    addIntoScalar,     scaleInPlaceScalar, signProjectScalar,
+    "scalar",      Level::Scalar,      gemmF32Scalar,       gemmInt8Scalar,
+    addIntoScalar, scaleInPlaceScalar, lshSignaturesScalar, allFiniteScalar,
 };
 
 std::atomic<const Ops *> g_active{nullptr};

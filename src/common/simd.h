@@ -1,10 +1,11 @@
 /**
  * @file
  * Runtime SIMD kernel dispatch, after TFLite-Micro's replaceable-kernel
- * design: every hot inner loop (f32 GEMM, raw int8 GEMM, the LSH sign
- * pass, elementwise add/scale) is reached through a per-process ops
- * table selected once at startup from CPU capabilities, overridable
- * with `GENREUSE_SIMD=scalar|avx2|neon`.
+ * design: every hot inner loop (f32 GEMM, raw int8 GEMM, LSH
+ * signatures, elementwise add/scale, the guard's finite scan) is
+ * reached through a per-process ops table selected once at startup
+ * from CPU capabilities, overridable with
+ * `GENREUSE_SIMD=scalar|avx2|neon`.
  *
  * Contract (see DESIGN.md "Kernel dispatch & arena"):
  *  - The scalar table is the always-on correctness oracle. It is
@@ -58,10 +59,21 @@ struct Ops
     /** dst[i] *= s for i in [0, n). */
     void (*scaleInPlace)(float *dst, float s, size_t n);
 
-    /** LSH sign pass over row-major projections (count x h, ld = h):
-     *  sigs[i] bit f = (proj[i*h + f] + biases[f] > 0). */
-    void (*signProject)(const float *proj, const float *biases, size_t count,
-                        size_t h, uint64_t *sigs);
+    /** LSH signatures of @p count row items (item i is
+     *  x[i*ld .. i*ld + len)) against h <= 64 hyperplanes, given
+     *  transposed as @p vT (len x h, row-major):
+     *  sigs[i] bit f = (proj(i, f) + biases[f] > 0). Each projection
+     *  is summed exactly as gemmF32 sums one output element: starting
+     *  from 0, per 256-wide k block acc = 0, acc += x[p] * vT[p][f] in
+     *  ascending p (separate multiply and add), then proj += acc. So
+     *  the bits equal gemmF32 (count x h x len) followed by the sign
+     *  test, at every level. */
+    void (*lshSignatures)(const float *x, size_t count, size_t len,
+                          size_t ld, const float *vT, const float *biases,
+                          size_t h, uint64_t *sigs);
+
+    /** True when no element of p[0, n) is NaN or +-Inf. Exact. */
+    bool (*allFinite)(const float *p, size_t n);
 };
 
 /** True when @p level is compiled in AND supported by this CPU. */

@@ -20,6 +20,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace genreuse::simd {
 
@@ -182,34 +183,182 @@ scaleInPlaceAvx2(float *dst, float s, size_t n)
         dst[i] *= s;
 }
 
-void
-signProjectAvx2(const float *proj, const float *biases, size_t count,
-                size_t h, uint64_t *sigs)
+// ---- LSH signatures ---------------------------------------------------
+//
+// One lane per hash function: a broadcast input element times a row of
+// V^T updates every projection of an item at once, so the projections
+// never leave registers. Each lane repeats the scalar oracle's sum
+// (per k block: acc = 0, acc += x*v ascending, proj += acc; mul and add
+// separate), so the bits match gemmF32 + the sign test exactly. Four
+// items advance together to give four independent add chains.
+
+/** 4 lanes in one xmm: every hash function of an H <= 4 family. */
+struct Xmm
 {
-    const __m256 zero = _mm256_setzero_ps();
-    for (size_t i = 0; i < count; ++i) {
-        const float *pi = proj + i * h;
-        uint64_t sig = 0;
-        size_t f = 0;
-        for (; f + 8 <= h; f += 8) {
-            __m256 sum = _mm256_add_ps(_mm256_loadu_ps(pi + f),
-                                       _mm256_loadu_ps(biases + f));
-            __m256 gt = _mm256_cmp_ps(sum, zero, _CMP_GT_OQ);
-            uint64_t mask =
-                static_cast<uint64_t>(_mm256_movemask_ps(gt)) & 0xffu;
-            sig |= mask << f;
+    using V = __m128;
+    using Mask = __m128i;
+    static V zero() { return _mm_setzero_ps(); }
+    static V bcast(const float *p) { return _mm_broadcast_ss(p); }
+    static V load(const float *p) { return _mm_loadu_ps(p); }
+    static V load(const float *p, Mask m) { return _mm_maskload_ps(p, m); }
+    static V add(V a, V b) { return _mm_add_ps(a, b); }
+    static V mul(V a, V b) { return _mm_mul_ps(a, b); }
+    static Mask lanes(size_t w)
+    {
+        return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(w)),
+                               _mm_setr_epi32(0, 1, 2, 3));
+    }
+    static uint64_t positive(V a)
+    {
+        return static_cast<uint64_t>(
+            _mm_movemask_ps(_mm_cmp_ps(a, zero(), _CMP_GT_OQ)));
+    }
+};
+
+/** 8 lanes in one ymm: one group of up to 8 hash functions. */
+struct Ymm
+{
+    using V = __m256;
+    using Mask = __m256i;
+    static V zero() { return _mm256_setzero_ps(); }
+    static V bcast(const float *p) { return _mm256_broadcast_ss(p); }
+    static V load(const float *p) { return _mm256_loadu_ps(p); }
+    static V load(const float *p, Mask m) { return _mm256_maskload_ps(p, m); }
+    static V add(V a, V b) { return _mm256_add_ps(a, b); }
+    static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+    static Mask lanes(size_t w)
+    {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+    static uint64_t positive(V a)
+    {
+        return static_cast<uint64_t>(
+            _mm256_movemask_ps(_mm256_cmp_ps(a, zero(), _CMP_GT_OQ)));
+    }
+};
+
+/** ORs signature bits [f0, f0 + w) of every item into @p sigs. Full
+ *  means the group spans the whole register (plain loads); otherwise
+ *  masked loads keep V^T reads inside each row. */
+template <class R, bool Full>
+void
+lshLanesAvx2(const float *x, size_t count, size_t len, size_t ld,
+             const float *vT, const float *biases, size_t h, size_t f0,
+             size_t w, uint64_t *sigs)
+{
+    using V = typename R::V;
+    const typename R::Mask mask = R::lanes(w);
+    const float *v = vT + f0;
+    const V bias = R::load(biases + f0, mask);
+    const uint64_t keep = (uint64_t{1} << w) - 1;
+    auto row = [&](size_t p) {
+        return Full ? R::load(v + p * h) : R::load(v + p * h, mask);
+    };
+    auto bits = [&](V proj) {
+        return (R::positive(R::add(proj, bias)) & keep) << f0;
+    };
+
+    size_t i = 0;
+    for (; i + 4 <= count; i += 4) {
+        const float *x0 = x + i * ld, *x1 = x0 + ld, *x2 = x1 + ld,
+                    *x3 = x2 + ld;
+        V c0 = R::zero(), c1 = R::zero(), c2 = R::zero(), c3 = R::zero();
+        for (size_t p0 = 0; p0 < len; p0 += kBlockK) {
+            const size_t pe = std::min(len, p0 + kBlockK);
+            V a0 = R::zero(), a1 = R::zero(), a2 = R::zero(),
+              a3 = R::zero();
+            for (size_t p = p0; p < pe; ++p) {
+                const V vp = row(p);
+                a0 = R::add(a0, R::mul(R::bcast(x0 + p), vp));
+                a1 = R::add(a1, R::mul(R::bcast(x1 + p), vp));
+                a2 = R::add(a2, R::mul(R::bcast(x2 + p), vp));
+                a3 = R::add(a3, R::mul(R::bcast(x3 + p), vp));
+            }
+            c0 = R::add(c0, a0);
+            c1 = R::add(c1, a1);
+            c2 = R::add(c2, a2);
+            c3 = R::add(c3, a3);
         }
-        for (; f < h; ++f) {
-            if (pi[f] + biases[f] > 0.0f)
-                sig |= uint64_t{1} << f;
+        sigs[i] |= bits(c0);
+        sigs[i + 1] |= bits(c1);
+        sigs[i + 2] |= bits(c2);
+        sigs[i + 3] |= bits(c3);
+    }
+    for (; i < count; ++i) {
+        const float *xi = x + i * ld;
+        V c = R::zero();
+        for (size_t p0 = 0; p0 < len; p0 += kBlockK) {
+            const size_t pe = std::min(len, p0 + kBlockK);
+            V a = R::zero();
+            for (size_t p = p0; p < pe; ++p)
+                a = R::add(a, R::mul(R::bcast(xi + p), row(p)));
+            c = R::add(c, a);
         }
-        sigs[i] = sig;
+        sigs[i] |= bits(c);
     }
 }
 
+void
+lshSignaturesAvx2(const float *x, size_t count, size_t len, size_t ld,
+                  const float *vT, const float *biases, size_t h,
+                  uint64_t *sigs)
+{
+    std::fill(sigs, sigs + count, uint64_t{0});
+    if (h == 4) {
+        lshLanesAvx2<Xmm, true>(x, count, len, ld, vT, biases, h, 0, h,
+                                sigs);
+        return;
+    }
+    if (h < 4) {
+        lshLanesAvx2<Xmm, false>(x, count, len, ld, vT, biases, h, 0, h,
+                                 sigs);
+        return;
+    }
+    for (size_t f0 = 0; f0 < h; f0 += 8) {
+        const size_t w = std::min<size_t>(8, h - f0);
+        if (w == 8)
+            lshLanesAvx2<Ymm, true>(x, count, len, ld, vT, biases, h, f0,
+                                    w, sigs);
+        else
+            lshLanesAvx2<Ymm, false>(x, count, len, ld, vT, biases, h, f0,
+                                     w, sigs);
+    }
+}
+
+/** A float is NaN or +-Inf exactly when its exponent bits are all
+ *  ones, so the integer mask test is exact. */
+bool
+allFiniteAvx2(const float *p, size_t n)
+{
+    const __m256i exp = _mm256_set1_epi32(0x7f800000);
+    auto special = [&](size_t i) {
+        const __m256i bits =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p + i));
+        return _mm256_cmpeq_epi32(_mm256_and_si256(bits, exp), exp);
+    };
+    size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        const __m256i bad = _mm256_or_si256(
+            _mm256_or_si256(special(i), special(i + 8)),
+            _mm256_or_si256(special(i + 16), special(i + 24)));
+        if (!_mm256_testz_si256(bad, bad))
+            return false;
+    }
+    for (; i + 8 <= n; i += 8) {
+        const __m256i bad = special(i);
+        if (!_mm256_testz_si256(bad, bad))
+            return false;
+    }
+    for (; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
+
 const Ops kAvx2Ops = {
-    "avx2",      Level::Avx2,      gemmF32Avx2, gemmInt8Avx2,
-    addIntoAvx2, scaleInPlaceAvx2, signProjectAvx2,
+    "avx2",      Level::Avx2,      gemmF32Avx2,       gemmInt8Avx2,
+    addIntoAvx2, scaleInPlaceAvx2, lshSignaturesAvx2, allFiniteAvx2,
 };
 
 } // namespace

@@ -17,6 +17,7 @@
 #include <arm_neon.h>
 
 #include <algorithm>
+#include <cmath>
 
 namespace genreuse::simd {
 
@@ -151,36 +152,132 @@ scaleInPlaceNeon(float *dst, float s, size_t n)
         dst[i] *= s;
 }
 
-void
-signProjectNeon(const float *proj, const float *biases, size_t count,
-                size_t h, uint64_t *sigs)
+// ---- LSH signatures ---------------------------------------------------
+//
+// One q-register lane per hash function, groups of 4 lanes: a
+// broadcast input element times a row of V^T updates the group's
+// projections at once. Each lane repeats the scalar oracle's sum (per
+// k block: acc = 0, acc += x*v ascending, proj += acc; vmulq + vaddq,
+// never vfmaq). Four items advance together for independent chains.
+
+/** Lanes [0, w) of @p p, zeros above; never reads past p[w - 1]. */
+float32x4_t
+loadLanes(const float *p, size_t w)
 {
-    const float32x4_t zero = vdupq_n_f32(0.0f);
-    // Lane -> bit masks for collapsing a comparison result to 4 bits.
-    const int32x4_t bit = {1, 2, 4, 8};
-    for (size_t i = 0; i < count; ++i) {
-        const float *pi = proj + i * h;
-        uint64_t sig = 0;
-        size_t f = 0;
-        for (; f + 4 <= h; f += 4) {
-            float32x4_t sum =
-                vaddq_f32(vld1q_f32(pi + f), vld1q_f32(biases + f));
-            uint32x4_t gt = vcgtq_f32(sum, zero);
-            int32x4_t bits = vandq_s32(vreinterpretq_s32_u32(gt), bit);
-            uint64_t mask = static_cast<uint64_t>(vaddvq_s32(bits)) & 0xfu;
-            sig |= mask << f;
+    if (w == 4)
+        return vld1q_f32(p);
+    float32x4_t r = vdupq_n_f32(0.0f);
+    r = vld1q_lane_f32(p, r, 0);
+    if (w > 1)
+        r = vld1q_lane_f32(p + 1, r, 1);
+    if (w > 2)
+        r = vld1q_lane_f32(p + 2, r, 2);
+    return r;
+}
+
+/** Bits of the lanes where @p a > 0 (NaN compares false). */
+uint64_t
+positiveLanes(float32x4_t a)
+{
+    const uint32x4_t bit = {1, 2, 4, 8};
+    const uint32x4_t gt = vcgtq_f32(a, vdupq_n_f32(0.0f));
+    return static_cast<uint64_t>(vaddvq_u32(vandq_u32(gt, bit)));
+}
+
+/** ORs signature bits [f0, f0 + w), w <= 4, of every item into sigs. */
+void
+lshLanesNeon(const float *x, size_t count, size_t len, size_t ld,
+             const float *vT, const float *biases, size_t h, size_t f0,
+             size_t w, uint64_t *sigs)
+{
+    const float *v = vT + f0;
+    const float32x4_t bias = loadLanes(biases + f0, w);
+    const uint64_t keep = (uint64_t{1} << w) - 1;
+    auto bits = [&](float32x4_t proj) {
+        return (positiveLanes(vaddq_f32(proj, bias)) & keep) << f0;
+    };
+
+    size_t i = 0;
+    for (; i + 4 <= count; i += 4) {
+        const float *x0 = x + i * ld, *x1 = x0 + ld, *x2 = x1 + ld,
+                    *x3 = x2 + ld;
+        float32x4_t c0 = vdupq_n_f32(0.0f), c1 = c0, c2 = c0, c3 = c0;
+        for (size_t p0 = 0; p0 < len; p0 += kBlockK) {
+            const size_t pe = std::min(len, p0 + kBlockK);
+            float32x4_t a0 = vdupq_n_f32(0.0f), a1 = a0, a2 = a0, a3 = a0;
+            for (size_t p = p0; p < pe; ++p) {
+                const float32x4_t vp = loadLanes(v + p * h, w);
+                a0 = vaddq_f32(a0, vmulq_f32(vdupq_n_f32(x0[p]), vp));
+                a1 = vaddq_f32(a1, vmulq_f32(vdupq_n_f32(x1[p]), vp));
+                a2 = vaddq_f32(a2, vmulq_f32(vdupq_n_f32(x2[p]), vp));
+                a3 = vaddq_f32(a3, vmulq_f32(vdupq_n_f32(x3[p]), vp));
+            }
+            c0 = vaddq_f32(c0, a0);
+            c1 = vaddq_f32(c1, a1);
+            c2 = vaddq_f32(c2, a2);
+            c3 = vaddq_f32(c3, a3);
         }
-        for (; f < h; ++f) {
-            if (pi[f] + biases[f] > 0.0f)
-                sig |= uint64_t{1} << f;
+        sigs[i] |= bits(c0);
+        sigs[i + 1] |= bits(c1);
+        sigs[i + 2] |= bits(c2);
+        sigs[i + 3] |= bits(c3);
+    }
+    for (; i < count; ++i) {
+        const float *xi = x + i * ld;
+        float32x4_t c = vdupq_n_f32(0.0f);
+        for (size_t p0 = 0; p0 < len; p0 += kBlockK) {
+            const size_t pe = std::min(len, p0 + kBlockK);
+            float32x4_t a = vdupq_n_f32(0.0f);
+            for (size_t p = p0; p < pe; ++p)
+                a = vaddq_f32(a, vmulq_f32(vdupq_n_f32(xi[p]),
+                                           loadLanes(v + p * h, w)));
+            c = vaddq_f32(c, a);
         }
-        sigs[i] = sig;
+        sigs[i] |= bits(c);
     }
 }
 
+void
+lshSignaturesNeon(const float *x, size_t count, size_t len, size_t ld,
+                  const float *vT, const float *biases, size_t h,
+                  uint64_t *sigs)
+{
+    std::fill(sigs, sigs + count, uint64_t{0});
+    for (size_t f0 = 0; f0 < h; f0 += 4)
+        lshLanesNeon(x, count, len, ld, vT, biases, h, f0,
+                     std::min<size_t>(4, h - f0), sigs);
+}
+
+/** NaN and +-Inf are exactly the floats whose exponent bits are all
+ *  ones, so the integer mask test is exact. */
+bool
+allFiniteNeon(const float *p, size_t n)
+{
+    const uint32x4_t exp = vdupq_n_u32(0x7f800000u);
+    auto special = [&](size_t i) {
+        const uint32x4_t bits = vreinterpretq_u32_f32(vld1q_f32(p + i));
+        return vceqq_u32(vandq_u32(bits, exp), exp);
+    };
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        const uint32x4_t bad = vorrq_u32(vorrq_u32(special(i), special(i + 4)),
+                                         vorrq_u32(special(i + 8),
+                                                   special(i + 12)));
+        if (vmaxvq_u32(bad) != 0)
+            return false;
+    }
+    for (; i + 4 <= n; i += 4)
+        if (vmaxvq_u32(special(i)) != 0)
+            return false;
+    for (; i < n; ++i)
+        if (!std::isfinite(p[i]))
+            return false;
+    return true;
+}
+
 const Ops kNeonOps = {
-    "neon",      Level::Neon,      gemmF32Neon, gemmInt8Neon,
-    addIntoNeon, scaleInPlaceNeon, signProjectNeon,
+    "neon",      Level::Neon,      gemmF32Neon,       gemmInt8Neon,
+    addIntoNeon, scaleInPlaceNeon, lshSignaturesNeon, allFiniteNeon,
 };
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "guard.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -17,6 +16,7 @@
 #include "common/profiler.h"
 #include "common/rng.h"
 #include "common/rtrace.h"
+#include "common/simd.h"
 #include "canary.h"
 #include "reuse_audit.h"
 #include "tensor/gemm.h"
@@ -234,20 +234,6 @@ deployRung(const MemoryEstimate &est, const McuSpec &spec)
     return GuardRung::ExactFallback;
 }
 
-namespace {
-
-bool
-allFinite(const Tensor &t)
-{
-    const float *p = t.data();
-    for (size_t i = 0; i < t.size(); ++i)
-        if (!std::isfinite(p[i]))
-            return false;
-    return true;
-}
-
-} // namespace
-
 GuardedReuseConvAlgo::GuardedReuseConvAlgo(ReusePattern pattern,
                                            GuardConfig config,
                                            HashMode mode, uint64_t seed)
@@ -260,7 +246,7 @@ GuardedReuseConvAlgo::GuardedReuseConvAlgo(ReusePattern pattern,
 GuardStreamState &
 GuardedReuseConvAlgo::state(StreamContext &ctx) const
 {
-    GuardStreamState &st = ctx.guardState(this);
+    GuardStreamState &st = ctx.guardState(this, serial_);
     if (!st.errDrift) {
         // The thread-default stream keeps the historical signal names
         // (and therefore gauge keys); serve streams get a ".s<id>"
@@ -583,7 +569,7 @@ GuardedReuseConvAlgo::multiplyInto(StreamContext &ctx, const Tensor &x,
     // Rung 2 immediately on non-finite activations: reuse would smear
     // the NaN across every member of its cluster, while the exact GEMM
     // confines it to the rows that actually contain it.
-    if (!allFinite(*xin)) {
+    if (!simd::ops().allFinite(xin->data(), xin->size())) {
         warnOnce("guard-nonfinite-input",
                  "guard: non-finite activations; conv layer downgraded "
                  "to exact GEMM for this forward (warned once)");

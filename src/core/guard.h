@@ -304,6 +304,7 @@ class GuardedReuseConvAlgo : public ConvAlgo
     std::unique_ptr<ReuseConvAlgo> inner_;
     ExactConvAlgo exact_;
     GuardConfig config_;
+    const uint64_t serial_ = uniqueSerial(); //!< keys per-stream state
 
     Tensor fitSample_;      //!< profiling subsample, default layout
     ConvGeometry fitGeom_{};

@@ -81,9 +81,11 @@ ReuseConvAlgo::fitFamilies(const Tensor &sample, const ConvGeometry &geom)
     fitted_ = true;
     // Refits (e.g. the guard's re-cluster rung) replace families_, so
     // every stream's band-remapped copies of the old families are
-    // stale. Bumping the epoch invalidates them lazily: each stream's
-    // scratch resets itself the next time that stream forwards.
-    ++fitEpoch_;
+    // stale. A new epoch invalidates them lazily: each stream's scratch
+    // resets itself the next time that stream forwards. Epochs never
+    // repeat across instances, so scratch left at this address by a
+    // freed algorithm is reset too (see uniqueSerial()).
+    fitEpoch_ = uniqueSerial();
 }
 
 ConvStreamScratch &

@@ -127,6 +127,10 @@ class ReuseConvAlgo : public ConvAlgo
     const ReusePattern &pattern() const { return pattern_; }
     bool fitted() const { return fitted_; }
 
+    /** The fitted hash families, one per slice (vertical) or band
+     *  (horizontal, before any per-forward band remap). */
+    const std::vector<HashFamily> &families() const { return families_; }
+
     /** RNG seed for Random-mode hash vectors. */
     uint64_t seed() const { return seed_; }
 
@@ -141,9 +145,10 @@ class ReuseConvAlgo : public ConvAlgo
      *  forwards do not disturb it). */
     const ReuseStats &lastStats() const;
 
-    /** Monotonic fit counter: bumped by every (re)fit, it keys the
-     *  per-stream scratch caches so a refit invalidates them lazily in
-     *  every stream's context. */
+    /** Fit stamp: every (re)fit takes a new uniqueSerial(). It keys
+     *  the per-stream scratch caches, so a refit invalidates them
+     *  lazily in every stream's context, and a new algorithm never
+     *  inherits a freed one's scratch at the same address. */
     uint64_t fitEpoch() const { return fitEpoch_; }
 
   private:

@@ -1,11 +1,10 @@
 #include "reuse_dense.h"
 
-#include <cmath>
-
 #include "common/eventlog.h"
 #include "common/faultpoint.h"
 #include "common/logging.h"
 #include "common/profiler.h"
+#include "common/simd.h"
 #include "guard.h"
 #include "lsh/learned_hash.h"
 #include "reuse_audit.h"
@@ -95,10 +94,7 @@ ReuseDense::forward(const Tensor &x, bool training)
     // Segment reuse averages segments across the row, so one NaN would
     // smear over every output; the exact product confines it. Scan is
     // O(N*F), negligible next to the O(N*F*O) product.
-    bool finite = true;
-    for (size_t i = 0; i < flat->size() && finite; ++i)
-        finite = std::isfinite(flat->data()[i]);
-    if (!finite) {
+    if (!simd::ops().allFinite(flat->data(), flat->size())) {
         warnOnce("reuse-dense-nonfinite",
                  "ReuseDense ", name(),
                  ": non-finite activations; exact product for this "

@@ -1,5 +1,7 @@
 #include "stream_context.h"
 
+#include <atomic>
+
 #include "common/logging.h"
 
 namespace genreuse {
@@ -9,6 +11,13 @@ namespace {
 thread_local StreamContext *t_current = nullptr;
 
 } // namespace
+
+uint64_t
+uniqueSerial()
+{
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void
 ConvStreamScratch::onNewEpoch(uint64_t epoch)
@@ -77,15 +86,23 @@ StreamContext::convScratch(const void *owner, uint64_t fit_epoch)
 }
 
 GuardStreamState &
-StreamContext::guardState(const void *owner)
+StreamContext::guardState(const void *owner, uint64_t serial)
 {
     for (auto &st : guardStates_) {
-        if (st->owner == owner)
+        if (st->owner == owner) {
+            if (st->ownerSerial != serial) {
+                // The address outlived its algorithm: start fresh.
+                *st = GuardStreamState{};
+                st->owner = owner;
+                st->ownerSerial = serial;
+            }
             return *st;
+        }
     }
     guardStates_.push_back(std::make_unique<GuardStreamState>());
     GuardStreamState &st = *guardStates_.back();
     st.owner = owner;
+    st.ownerSerial = serial;
     return st;
 }
 

@@ -29,7 +29,7 @@
  *    last-forward stats), keyed by algorithm instance and invalidated
  *    when the owner refits (the guard's re-cluster rung bumps the
  *    epoch).
- *  - guardState(owner): GuardedReuseConvAlgo's former member state
+ *  - guardState(owner, serial): GuardedReuseConvAlgo's former member state
  *    (drift detectors, cached error budget, last rung) so one guarded
  *    algorithm tracks each stream's distribution independently — a
  *    drifting stream must not trip, re-cluster, or budget-boost its
@@ -104,6 +104,7 @@ struct ConvStreamScratch
 struct GuardStreamState
 {
     const void *owner = nullptr; //!< the GuardedReuseConvAlgo
+    uint64_t ownerSerial = 0;    //!< its uniqueSerial()
 
     /** Inner fit epoch the budget was derived at (~0 = none yet). */
     uint64_t budgetEpoch = ~uint64_t{0};
@@ -119,6 +120,16 @@ struct GuardStreamState
     std::unique_ptr<DriftDetector> errDrift;
     std::unique_ptr<DriftDetector> clusterDrift;
 };
+
+/**
+ * A process-wide, never-repeating number (the first is 1). Per-stream
+ * state is found by its owner's address, and a freed algorithm's
+ * address is soon handed to a new one. So owners also stamp that state
+ * with one of these: ReuseConvAlgo fit epochs, GuardedReuseConvAlgo
+ * serials. Otherwise a new algorithm would inherit a dead one's cached
+ * row permutation, band-remapped families and drift detectors.
+ */
+uint64_t uniqueSerial();
 
 class StreamContext
 {
@@ -156,8 +167,9 @@ class StreamContext
     ConvStreamScratch &convScratch(const void *owner, uint64_t fit_epoch);
 
     /** This stream's guard state for @p owner (created empty; the
-     *  guard fills the detectors lazily). */
-    GuardStreamState &guardState(const void *owner);
+     *  guard fills the detectors lazily). State left by an earlier
+     *  owner at the same address (another @p serial) starts over. */
+    GuardStreamState &guardState(const void *owner, uint64_t serial);
 
     /**
      * Quarantine reset: discard everything a (possibly panicking)

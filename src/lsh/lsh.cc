@@ -3,7 +3,6 @@
 #include "common/arena.h"
 #include "common/logging.h"
 #include "common/simd.h"
-#include "tensor/gemm.h"
 
 namespace genreuse {
 
@@ -67,14 +66,10 @@ HashFamily::signaturesInto(const StridedItems &items, uint64_t *sigs) const
     const simd::Ops &ops = simd::ops();
 
     if (items.contiguousRows()) {
-        // Row fast path: S = X x V^T via the dispatched GEMM, then the
-        // sign pass.
-        Arena &arena = Arena::forCurrentStream();
-        ArenaFrame frame(arena);
-        float *proj = arena.allocSpan<float>(items.count * h);
-        ops.gemmF32(items.base, vectorsT_.data(), proj, items.count, h, l,
-                    items.itemStride, h, h, false);
-        ops.signProject(proj, biases_.data(), items.count, h, sigs);
+        // Row path: the dispatched signature kernel keeps each item's
+        // projections in vector lanes, summed in gemmF32's order.
+        ops.lshSignatures(items.base, items.count, l, items.itemStride,
+                          vectorsT_.data(), biases_.data(), h, sigs);
         return;
     }
 

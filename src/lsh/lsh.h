@@ -46,19 +46,19 @@ class HashFamily
     uint64_t signature(const StridedItems &items, size_t index) const;
 
     /**
-     * Signatures for every item. Uses a GEMM fast path when the items
-     * are contiguous rows.
+     * Signatures for every item (see signaturesInto() for the fast
+     * paths).
      */
     std::vector<uint64_t> signatures(const StridedItems &items) const;
 
     /**
      * signatures() without the output allocation: writes into
-     * @p sigs[0 .. items.count). Dispatched-GEMM fast paths cover
-     * contiguous rows AND unit-item-stride column layouts (the
-     * horizontal kernel's per-band view); scratch comes from the
-     * calling thread's stream arena. Both fast paths accumulate each
-     * projection as the same ordered float sequence, so row- and
-     * column-view signatures of the same data agree bit-for-bit.
+     * @p sigs[0 .. items.count). Contiguous rows go through the
+     * dispatched simd lshSignatures kernel; unit-item-stride column
+     * layouts (the horizontal kernel's per-band view) through a
+     * dispatched GEMM with arena scratch. Both sum each projection as
+     * the same ordered float sequence, so row- and column-view
+     * signatures of the same data agree bit-for-bit.
      */
     void signaturesInto(const StridedItems &items, uint64_t *sigs) const;
 
@@ -74,7 +74,7 @@ class HashFamily
 
   private:
     Tensor vectors_;  // H x L
-    Tensor vectorsT_; // L x H, cached once for the signature GEMM
+    Tensor vectorsT_; // L x H, cached once for the signature kernel
     std::vector<float> biases_;
 };
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <new>
 
 #include "common/faultpoint.h"
 #include "common/metrics.h"
@@ -163,6 +164,35 @@ TEST(Guard, NonFiniteInputDowngradesToExact)
     // NaN != NaN defeats numeric comparison).
     Tensor exact = ExactConvAlgo().multiply(poisoned, w, geom, nullptr);
     EXPECT_TRUE(bitwiseEqual(y, exact));
+}
+
+TEST(Guard, NewGuardAtAFreedGuardsAddressStartsClean)
+{
+    // Per-stream guard state is found by owner address; a guard built
+    // where a freed one lived must not inherit its rung or detectors.
+    GuardSandbox sandbox;
+    ConvFixture f;
+    Tensor sample = f.sampleX();
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    const ReusePattern p = ReusePattern::conventional(geom, 8);
+
+    alignas(GuardedReuseConvAlgo) unsigned char
+        slot[sizeof(GuardedReuseConvAlgo)];
+    auto *old = new (slot) GuardedReuseConvAlgo(p, {}, HashMode::Learned, 1);
+    old->fit(sample, geom);
+    Tensor poisoned = sample;
+    poisoned.data()[7] = std::numeric_limits<float>::quiet_NaN();
+    old->multiply(poisoned, w, geom, nullptr);
+    ASSERT_EQ(old->lastRung(), GuardRung::ExactFallback);
+    old->~GuardedReuseConvAlgo();
+
+    auto *reborn =
+        new (slot) GuardedReuseConvAlgo(p, {}, HashMode::Learned, 1);
+    ASSERT_EQ(static_cast<void *>(reborn), static_cast<void *>(old));
+    EXPECT_EQ(reborn->lastRung(), GuardRung::FullReuse);
+    EXPECT_FALSE(reborn->drifted());
+    reborn->~GuardedReuseConvAlgo();
 }
 
 TEST(Guard, NanActivationFaultInjectsAndFallsBack)

@@ -5,7 +5,9 @@
  * conventional (TREC-style) baseline pattern.
  */
 
+#include <cstring>
 #include <gtest/gtest.h>
+#include <new>
 
 #include "core/measurement.h"
 #include "core/reuse_conv.h"
@@ -108,6 +110,44 @@ TEST(ReuseConvAlgo, RowReorderRoundTrips)
     Tensor w = f.conv.weightMatrix();
     Tensor approx = algo.multiply(sample, w, geom, nullptr);
     EXPECT_LT(relativeError(matmul(sample, w), approx), 0.12);
+}
+
+TEST(ReuseConvAlgo, NewAlgoAtAFreedAlgosAddressStartsClean)
+{
+    // Per-stream scratch is found by owner address. An algorithm built
+    // where a freed one lived, on the same geometry, must not inherit
+    // its cached row permutation.
+    ConvFixture f;
+    Tensor sample = f.sampleX(); // batch 2: PixelMajor really permutes
+    ConvGeometry geom = f.conv.lastGeometry();
+    Tensor w = f.conv.weightMatrix();
+    ReusePattern pixel;
+    pixel.rowOrder = RowOrder::PixelMajor;
+    pixel.granularity = 25;
+    pixel.numHashes = 6;
+    ReusePattern batch = pixel;
+    batch.rowOrder = RowOrder::BatchMajor;
+
+    ReuseConvAlgo fresh(batch, HashMode::Learned, 3);
+    fresh.fit(sample, geom);
+    CostLedger want_ledger;
+    const Tensor want = fresh.multiply(sample, w, geom, &want_ledger);
+
+    alignas(ReuseConvAlgo) unsigned char slot[sizeof(ReuseConvAlgo)];
+    auto *old = new (slot) ReuseConvAlgo(pixel, HashMode::Learned, 3);
+    old->fit(sample, geom);
+    old->multiply(sample, w, geom, nullptr);
+    old->~ReuseConvAlgo();
+    auto *reborn = new (slot) ReuseConvAlgo(batch, HashMode::Learned, 3);
+    reborn->fit(sample, geom);
+    CostLedger got_ledger;
+    const Tensor got = reborn->multiply(sample, w, geom, &got_ledger);
+    reborn->~ReuseConvAlgo();
+
+    ASSERT_EQ(want.shape(), got.shape());
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                             want.size() * sizeof(float)));
+    EXPECT_TRUE(want_ledger == got_ledger);
 }
 
 TEST(ReuseConvAlgo, HorizontalDirectionExecutes)

@@ -54,21 +54,53 @@ redundantMatrix(size_t rows, size_t cols, size_t protos, uint64_t seed)
     return out;
 }
 
+/** Times C[m x n] = A[m x k] * B[k x n] through gemm(). */
 void
-BM_GemmCifarNetConv2(benchmark::State &state)
+gemmShape(benchmark::State &state, size_t m, size_t k, size_t n)
 {
-    // The N x Din x Dout of CifarNet Conv2 (256 x 1600 x 64).
     Rng rng(1);
-    Tensor a = Tensor::randomNormal({256, 1600}, rng);
-    Tensor b = Tensor::randomNormal({1600, 64}, rng);
-    Tensor c({256, 64});
+    Tensor a = Tensor::randomNormal({m, k}, rng);
+    Tensor b = Tensor::randomNormal({k, n}, rng);
+    Tensor c({m, n});
     for (auto _ : state) {
         gemm(a, b, c);
         benchmark::DoNotOptimize(c.data());
     }
-    state.SetItemsProcessed(state.iterations() * 256 * 1600 * 64);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+
+void
+BM_GemmCifarNetConv2(benchmark::State &state)
+{
+    // The N x Din x Dout of CifarNet Conv2 (256 x 1600 x 64).
+    gemmShape(state, 256, 1600, 64);
 }
 BENCHMARK(BM_GemmCifarNetConv2);
+
+void
+BM_GemmCifarNetConv1(benchmark::State &state)
+{
+    // CifarNet Conv1 (1024 x 75 x 64): one k block, B fits in L1.
+    gemmShape(state, 1024, 75, 64);
+}
+BENCHMARK(BM_GemmCifarNetConv1);
+
+void
+BM_GemmDenseFc3(benchmark::State &state)
+{
+    // CifarNet fc3 for one request (1 x 4096 x 192): a single row, so
+    // it stays on the 1x32 tile.
+    gemmShape(state, 1, 4096, 192);
+}
+BENCHMARK(BM_GemmDenseFc3);
+
+void
+BM_GemmCentroids(benchmark::State &state)
+{
+    // A centroid GEMM of guarded conv1 (22 centroids x 25 x 64).
+    gemmShape(state, 22, 25, 64);
+}
+BENCHMARK(BM_GemmCentroids);
 
 void
 BM_Im2colCifar(benchmark::State &state)

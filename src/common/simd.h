@@ -11,12 +11,16 @@
  *  - The scalar table is the always-on correctness oracle. It is
  *    compiled into every build and always selectable.
  *  - Vector implementations must be BIT-IDENTICAL to the scalar
- *    oracle, not merely close: they keep the scalar kernel's blocking
- *    and per-element operation order and use separate multiply/add
- *    (no FMA contraction), so each output element sees the exact same
- *    IEEE-754 op sequence. This is what lets the guard ladder's
- *    exact-GEMM rung stay bit-identical to the pre-dispatch output
- *    regardless of the level selected.
+ *    oracle, not merely close: each output element sees the exact
+ *    same IEEE-754 op sequence. For the f32 GEMM two things are
+ *    load-bearing: the 256-wide k blocks, and the per-element order
+ *    inside them (acc = 0; acc += a*b in ascending k with a separate
+ *    multiply and add, never FMA; then c += acc, block after block).
+ *    M/N blocking and register tiling are free: every element sits in
+ *    exactly one row and one column block, so the order of blocks
+ *    across rows or columns cannot change its bits. This is what lets
+ *    the guard ladder's exact-GEMM rung stay bit-identical to the
+ *    pre-dispatch output regardless of the level selected.
  *  - Integer kernels are exact by construction.
  *
  * Levels that were not compiled in (or that the CPU lacks) silently

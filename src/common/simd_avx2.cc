@@ -5,12 +5,25 @@
  * returns nullptr when the running CPU lacks AVX2.
  *
  * Bit-identity with the scalar oracle is load-bearing (the guard's
- * exact-GEMM rung must not move): the f32 GEMM keeps the scalar
- * kernel's blocking (64/256/256) and per-element op order, and uses
- * separate _mm256_mul_ps/_mm256_add_ps — never FMA — so every output
- * element sees the same IEEE-754 sequence the scalar 1x8 tile
- * produces. The wider 1x32 tile only changes which *columns* advance
- * together, never the per-column order.
+ * exact-GEMM rung must not move). The f32 GEMM keeps what fixes an
+ * element's bits — the 256-wide k blocks and, inside each, acc = 0,
+ * acc += a*b ascending with separate _mm256_mul_ps/_mm256_add_ps
+ * (never FMA), c += acc — and is free to choose its M/N blocking.
+ *
+ * It is built around a 6x16 register tile. Per 96-row block and
+ * 256-wide k block, it walks 16-column B panels, and every 6-row strip
+ * of the block passes over the panel: 256x16 floats is 16 KB, so the
+ * panel stays in L1 while the strips reuse it. The tile holds 12 named
+ * ymm accumulators (GCC -O2 keeps an accumulator array as a rolled
+ * loop) and each k step does 2 B loads and 6 A broadcasts, so 12
+ * independent add chains hide the add latency. 12 accumulators, 2 B
+ * vectors, a broadcast and a product fill all 16 ymm registers, so a
+ * bigger tile would spill. A 1xN tile instead walks the whole 256xN B
+ * block of a k block for every A row; at CifarNet conv2's n = 64 that
+ * block is 64 KB, more than L1 holds, so every B load comes from L2.
+ * Rows past the last full strip (m % 6) and columns past the last full
+ * panel (n % 16) keep the 1x32 / 1x8 / scalar tiles, so a single-row
+ * product (fc layers at batch 1) runs on the 1x32 tile alone.
  */
 
 #include "simd.h"
@@ -26,9 +39,11 @@ namespace genreuse::simd {
 
 namespace {
 
-constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 256;
 constexpr size_t kBlockK = 256;
+constexpr size_t kTileM = 6;
+constexpr size_t kTileN = 16;
+constexpr size_t kTileBlockM = 16 * kTileM;
 
 void
 microKernelAvx2(const float *a, const float *b, float *c, size_t rows,
@@ -87,6 +102,56 @@ microKernelAvx2(const float *a, const float *b, float *c, size_t rows,
     }
 }
 
+/** C[6x16] += A[6xkc] * B[kcx16] over one k block, in the 6x16
+ *  register tile described in the file comment. */
+void
+tile6x16Avx2(const float *a, const float *b, float *c, size_t kc,
+             size_t lda, size_t ldb, size_t ldc)
+{
+    const float *a0 = a, *a1 = a0 + lda, *a2 = a1 + lda, *a3 = a2 + lda,
+                *a4 = a3 + lda, *a5 = a4 + lda;
+    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+    __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+    __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+    __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
+    __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+    for (size_t p = 0; p < kc; ++p) {
+        const float *bp = b + p * ldb;
+        const __m256 b0 = _mm256_loadu_ps(bp);
+        const __m256 b1 = _mm256_loadu_ps(bp + 8);
+        __m256 av = _mm256_broadcast_ss(a0 + p);
+        c00 = _mm256_add_ps(c00, _mm256_mul_ps(av, b0));
+        c01 = _mm256_add_ps(c01, _mm256_mul_ps(av, b1));
+        av = _mm256_broadcast_ss(a1 + p);
+        c10 = _mm256_add_ps(c10, _mm256_mul_ps(av, b0));
+        c11 = _mm256_add_ps(c11, _mm256_mul_ps(av, b1));
+        av = _mm256_broadcast_ss(a2 + p);
+        c20 = _mm256_add_ps(c20, _mm256_mul_ps(av, b0));
+        c21 = _mm256_add_ps(c21, _mm256_mul_ps(av, b1));
+        av = _mm256_broadcast_ss(a3 + p);
+        c30 = _mm256_add_ps(c30, _mm256_mul_ps(av, b0));
+        c31 = _mm256_add_ps(c31, _mm256_mul_ps(av, b1));
+        av = _mm256_broadcast_ss(a4 + p);
+        c40 = _mm256_add_ps(c40, _mm256_mul_ps(av, b0));
+        c41 = _mm256_add_ps(c41, _mm256_mul_ps(av, b1));
+        av = _mm256_broadcast_ss(a5 + p);
+        c50 = _mm256_add_ps(c50, _mm256_mul_ps(av, b0));
+        c51 = _mm256_add_ps(c51, _mm256_mul_ps(av, b1));
+    }
+    auto store = [](float *cr, __m256 lo, __m256 hi) {
+        _mm256_storeu_ps(cr, _mm256_add_ps(_mm256_loadu_ps(cr), lo));
+        _mm256_storeu_ps(cr + 8,
+                         _mm256_add_ps(_mm256_loadu_ps(cr + 8), hi));
+    };
+    store(c, c00, c01);
+    store(c + ldc, c10, c11);
+    store(c + 2 * ldc, c20, c21);
+    store(c + 3 * ldc, c30, c31);
+    store(c + 4 * ldc, c40, c41);
+    store(c + 5 * ldc, c50, c51);
+}
+
 void
 gemmF32Avx2(const float *a, const float *b, float *c, size_t m, size_t n,
             size_t k, size_t lda, size_t ldb, size_t ldc, bool accumulate)
@@ -95,16 +160,29 @@ gemmF32Avx2(const float *a, const float *b, float *c, size_t m, size_t n,
         for (size_t i = 0; i < m; ++i)
             std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
     }
-    for (size_t i0 = 0; i0 < m; i0 += kBlockM) {
-        size_t mi = std::min(kBlockM, m - i0);
+    const size_t n16 = n - n % kTileN;
+    for (size_t i0 = 0; i0 < m; i0 += kTileBlockM) {
+        const size_t mi = std::min(kTileBlockM, m - i0);
+        const size_t m6 = mi - mi % kTileM; // rows the 6x16 tile covers
         for (size_t p0 = 0; p0 < k; p0 += kBlockK) {
-            size_t kp = std::min(kBlockK, k - p0);
-            for (size_t j0 = 0; j0 < n; j0 += kBlockN) {
-                size_t nj = std::min(kBlockN, n - j0);
-                microKernelAvx2(a + i0 * lda + p0, b + p0 * ldb + j0,
-                                c + i0 * ldc + j0, mi, nj, kp, lda, ldb,
-                                ldc);
-            }
+            const size_t kp = std::min(kBlockK, k - p0);
+            const float *ap = a + i0 * lda + p0;
+            const float *bp = b + p0 * ldb;
+            float *ci = c + i0 * ldc;
+            // One 256x16 B panel (16 KB) stays in L1 while every strip
+            // of the row block passes over it.
+            for (size_t j0 = 0; j0 < n16; j0 += kTileN)
+                for (size_t i = 0; i < m6; i += kTileM)
+                    tile6x16Avx2(ap + i * lda, bp + j0, ci + i * ldc + j0,
+                                 kp, lda, ldb, ldc);
+            // The strips' last n % 16 columns, then the last mi % 6 rows
+            // in 256-column chunks, go through the 1xN tiles.
+            microKernelAvx2(ap, bp + n16, ci + n16, m6, n - n16, kp, lda,
+                            ldb, ldc);
+            for (size_t j0 = 0; m6 < mi && j0 < n; j0 += kBlockN)
+                microKernelAvx2(ap + m6 * lda, bp + j0, ci + m6 * ldc + j0,
+                                mi - m6, std::min(kBlockN, n - j0), kp, lda,
+                                ldb, ldc);
         }
     }
 }

@@ -5,9 +5,11 @@
  * dispatches to). Advanced SIMD is mandatory on aarch64, so no
  * runtime CPU probe is needed — availability is a compile-time fact.
  *
- * The same bit-identity contract as AVX2 applies: scalar blocking and
- * per-element op order, vmulq+vaddq (never vfmaq), so the guard's
- * exact-GEMM rung is unchanged by dispatch.
+ * The same bit-identity contract as AVX2 applies: 256-wide k blocks
+ * and the scalar per-element op order, vmulq+vaddq (never vfmaq), so
+ * the guard's exact-GEMM rung is unchanged by dispatch. The GEMM keeps
+ * the scalar kernel's 1xN shape (a 1x16 tile); the AVX2 table's 6x16
+ * register tile has no NEON port yet.
  */
 
 #include "simd.h"

@@ -412,7 +412,7 @@ double
 GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
                                        const Tensor &y, size_t rows,
                                        CostLedger *ledger,
-                                       double *exact_norm_sq_out) const
+                                       double *exact_norm_sq_out)
 {
     profiler::ProfSpan span("guard.verify");
     // Attribute verification time to the serve request executing on
@@ -429,36 +429,37 @@ GuardedReuseConvAlgo::measureErrorRows(const Tensor &x, const Tensor &w,
     rows = std::min(rows, n);
     const size_t stride = n / rows;
 
+    // The sampled rows are k * stride for k < rows (all < n): one
+    // GEMM over x viewed with a row stride of stride * din computes
+    // every one of them, bit-identical to a per-row product.
     Arena &arena = Arena::forCurrentStream();
     ArenaFrame frame(arena);
-    float *exact_row = arena.allocSpan<float>(m);
+    float *exact = arena.allocSpan<float>(rows * m);
+    gemmRaw(x.data(), w.data(), exact, rows, m, din, stride * din, m, m,
+            false);
     double err = 0.0;
     double norm = 0.0;
-    size_t sampled = 0;
     for (size_t k = 0; k < rows; ++k) {
-        const size_t r = std::min(k * stride, n - 1);
-        gemmRaw(x.data() + r * din, w.data(), exact_row, 1, m,
-                din, din, m, m, false);
-        const float *yr = y.data() + r * m;
+        const float *exact_row = exact + k * m;
+        const float *yr = y.data() + k * stride * m;
         for (size_t j = 0; j < m; ++j) {
             const double e = static_cast<double>(exact_row[j]);
             const double d = static_cast<double>(yr[j]) - e;
             err += d * d;
             norm += e * e;
         }
-        ++sampled;
     }
 
     // The verification rows are real work the MCU would do: price them
     // like the exact GEMM they are, so guarded latencies include the
     // guard's own cost.
     OpCounts ops;
-    ops.macs = static_cast<uint64_t>(sampled) * din * m;
-    ops.aluOps = 2 * static_cast<uint64_t>(sampled) * m;
+    ops.macs = static_cast<uint64_t>(rows) * din * m;
+    ops.aluOps = 2 * static_cast<uint64_t>(rows) * m;
     reportOps(ledger, Stage::Gemm, ops);
 
     const double scale =
-        static_cast<double>(n) / static_cast<double>(sampled);
+        static_cast<double>(n) / static_cast<double>(rows);
     if (exact_norm_sq_out)
         *exact_norm_sq_out = norm * scale;
     return err * scale;

@@ -266,25 +266,26 @@ class GuardedReuseConvAlgo : public ConvAlgo
      *  maxSampleRows) while drifted. */
     size_t verifyRows() const;
 
+    /**
+     * measureError() generalized: recompute @p rows evenly strided
+     * rows (k * (n / rows) for k < rows, one GEMM) exactly and return
+     * the estimated total squared Frobenius error (scaled to the full
+     * batch). When @p exact_norm_sq_out is non-null it receives the
+     * equally scaled squared norm of the exact rows, so the caller can
+     * form a *relative* error — the accuracy canary's unit, stable
+     * across activation scales.
+     */
+    static double measureErrorRows(const Tensor &x, const Tensor &w,
+                                   const Tensor &y, size_t rows,
+                                   CostLedger *ledger,
+                                   double *exact_norm_sq_out);
+
   private:
     GuardStreamState &state(StreamContext &ctx) const;
     double errorBudget(GuardStreamState &st, const Tensor &w,
                        const ConvGeometry &geom, size_t runtime_rows);
     double measureError(const Tensor &x, const Tensor &w,
                         const Tensor &y, CostLedger *ledger) const;
-
-    /**
-     * measureError() generalized: recompute @p rows evenly strided
-     * rows exactly and return the estimated total squared Frobenius
-     * error (scaled to the full batch). When @p exact_norm_sq_out is
-     * non-null it receives the equally scaled squared norm of the
-     * exact rows, so the caller can form a *relative* error — the
-     * accuracy canary's unit, stable across activation scales.
-     */
-    double measureErrorRows(const Tensor &x, const Tensor &w,
-                            const Tensor &y, size_t rows,
-                            CostLedger *ledger,
-                            double *exact_norm_sq_out) const;
 
     /**
      * Accuracy-canary hook, called on every forward that returns a

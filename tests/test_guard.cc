@@ -276,6 +276,45 @@ TEST(Guard, VerificationCostIsChargedToTheLedger)
               plain_ledger.stage(Stage::Gemm).macs);
 }
 
+TEST(Guard, VerificationRowsMatchPerRowReference)
+{
+    // The guard recomputes its sampled rows as one strided GEMM; the
+    // reference recomputes each row with its own 1-row GEMM and sums
+    // err and norm in the same order, so both must agree exactly.
+    Rng rng(7);
+    const size_t n = 1003, din = 75, m = 20; // 1003 = 17 * 59
+    const Tensor x = Tensor::randomNormal({n, din}, rng);
+    const Tensor w = Tensor::randomNormal({din, m}, rng);
+    const Tensor y = Tensor::randomNormal({n, m}, rng);
+    for (size_t rows : {size_t(1), size_t(3), size_t(8), size_t(16), n}) {
+        const size_t stride = n / rows;
+        std::vector<float> exact_row(m);
+        double err = 0.0, norm = 0.0;
+        for (size_t k = 0; k < rows; ++k) {
+            const size_t r = k * stride;
+            gemmRaw(x.data() + r * din, w.data(), exact_row.data(), 1, m,
+                    din, din, m, m, false);
+            for (size_t j = 0; j < m; ++j) {
+                const double e = static_cast<double>(exact_row[j]);
+                const double d = static_cast<double>(y.at2(r, j)) - e;
+                err += d * d;
+                norm += e * e;
+            }
+        }
+        const double scale =
+            static_cast<double>(n) / static_cast<double>(rows);
+
+        CostLedger ledger;
+        double norm_sq = -1.0;
+        const double got = GuardedReuseConvAlgo::measureErrorRows(
+            x, w, y, rows, &ledger, &norm_sq);
+        EXPECT_EQ(got, err * scale) << "rows=" << rows;
+        EXPECT_EQ(norm_sq, norm * scale) << "rows=" << rows;
+        EXPECT_EQ(ledger.stage(Stage::Gemm).macs, rows * din * m)
+            << "rows=" << rows;
+    }
+}
+
 TEST(Guard, ToJsonCarriesSchemaAndRung)
 {
     GuardSandbox sandbox;

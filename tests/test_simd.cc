@@ -8,7 +8,8 @@
  * explicit table selection, fallback for unavailable levels, and the
  * setActiveLevel() test hook. The GEMM-plus-sign-pass composition that
  * lshSignatures replaced lives on here, verbatim, as the reference for
- * HashFamily::signaturesInto.
+ * HashFamily::signaturesInto. Whole exact and guarded CifarNet forwards
+ * must also agree bit for bit between the scalar and detected levels.
  *
  * The float comparisons use a ULP distance with a bound of ZERO: the
  * design contract (DESIGN.md "Kernel dispatch & arena") is that vector
@@ -89,6 +90,18 @@ randomInt8(size_t n, Rng &rng)
 // kernel can hide a tail-handling bug behind round shapes.
 const size_t kRaggedDims[] = {1, 3, 7, 17, 33, 65};
 
+/** Every level compiled in and supported here, scalar first. */
+std::vector<simd::Level>
+compiledLevels()
+{
+    std::vector<simd::Level> levels;
+    for (simd::Level lvl :
+         {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Neon})
+        if (simd::available(lvl))
+            levels.push_back(lvl);
+    return levels;
+}
+
 TEST(SimdDispatch, TablesAreComplete)
 {
     for (simd::Level lvl :
@@ -144,53 +157,154 @@ TEST(SimdDispatch, SetActiveLevel)
     }
 }
 
-TEST(SimdParity, GemmF32Ragged)
+/** Runs the scalar oracle and the detected level on one problem, with
+ *  C seeded from @p seed (m rows of ldc), accumulating and not. The
+ *  whole C buffer must match: logical columns to kMaxUlps, padding
+ *  columns (j >= n) untouched. */
+void
+expectGemmParity(const float *a, const float *b, const float *seed,
+                 size_t m, size_t n, size_t k, size_t lda, size_t ldb,
+                 size_t ldc)
 {
     const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
     const simd::Ops &vec = simd::opsFor(simd::detect());
-    Rng rng(11);
-    for (size_t m : kRaggedDims) {
-        for (size_t n : kRaggedDims) {
-            for (size_t k : {size_t(1), size_t(7), size_t(33)}) {
-                std::vector<float> a = randomFloats(m * k, rng);
-                std::vector<float> b = randomFloats(k * n, rng);
-                std::vector<float> seed = randomFloats(m * n, rng);
-                for (bool accumulate : {false, true}) {
-                    std::vector<float> c0 = seed, c1 = seed;
-                    scalar.gemmF32(a.data(), b.data(), c0.data(), m, n, k,
-                                   k, n, n, accumulate);
-                    vec.gemmF32(a.data(), b.data(), c1.data(), m, n, k, k,
-                                n, n, accumulate);
-                    for (size_t i = 0; i < m * n; ++i)
-                        ASSERT_LE(ulpDistance(c0[i], c1[i]), kMaxUlps)
-                            << "m=" << m << " n=" << n << " k=" << k
-                            << " acc=" << accumulate << " i=" << i
-                            << " scalar=" << c0[i] << " vec=" << c1[i];
+    for (bool accumulate : {false, true}) {
+        std::vector<float> c0(seed, seed + m * ldc), c1 = c0;
+        scalar.gemmF32(a, b, c0.data(), m, n, k, lda, ldb, ldc, accumulate);
+        vec.gemmF32(a, b, c1.data(), m, n, k, lda, ldb, ldc, accumulate);
+        for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < ldc; ++j) {
+                const size_t at = i * ldc + j;
+                const float want = j < n ? c0[at] : seed[at];
+                ASSERT_LE(ulpDistance(want, c1[at]), kMaxUlps)
+                    << "m=" << m << " n=" << n << " k=" << k
+                    << " lda=" << lda << " ldb=" << ldb << " ldc=" << ldc
+                    << " acc=" << accumulate << " i=" << i << " j=" << j
+                    << (j < n ? "" : " (padding)") << " want=" << want
+                    << " vec=" << c1[at];
+                if (j >= n) {
+                    ASSERT_LE(ulpDistance(seed[at], c0[at]), kMaxUlps)
+                        << "scalar wrote padding i=" << i << " j=" << j;
                 }
             }
         }
     }
 }
 
+/** Random operands big enough for every GEMM shape below, so a sweep
+ *  takes views instead of drawing fresh numbers per shape. */
+struct GemmPool
+{
+    std::vector<float> a, b, c;
+    explicit GemmPool(uint64_t seed)
+    {
+        Rng rng(seed);
+        a = randomFloats(size_t(1) << 19, rng);
+        b = randomFloats(size_t(1) << 19, rng);
+        c = randomFloats(size_t(1) << 16, rng);
+    }
+};
+
+// k crosses the 256-wide k block (255/256/257, 800, 1600); n covers
+// the 16-column panel, the 8- and 32-wide tiles and every tail.
+const size_t kGemmK[] = {1, 25, 75, 255, 256, 257, 800, 1600};
+const size_t kGemmN[] = {1, 8, 15, 16, 17, 31, 32, 33, 48, 64, 65, 192};
+
+TEST(SimdParity, GemmF32Ragged)
+{
+    const GemmPool pool(11);
+    // m = 1..13 covers every m mod 6 (the row tile) with and without a
+    // full strip.
+    for (size_t k : kGemmK)
+        for (size_t n : kGemmN)
+            for (size_t m = 1; m <= 13; ++m)
+                expectGemmParity(pool.a.data(), pool.b.data(),
+                                 pool.c.data(), m, n, k, k, n, n);
+    // Either side of one and two 96-row blocks (the AVX2 tile's row
+    // block), on one k block and across a k-block boundary.
+    for (size_t k : {size_t(25), size_t(257)})
+        for (size_t n : kGemmN)
+            for (size_t m : {95, 96, 97, 191, 192, 193})
+                expectGemmParity(pool.a.data(), pool.b.data(),
+                                 pool.c.data(), m, n, k, k, n, n);
+}
+
 TEST(SimdParity, GemmF32StridedLeadingDims)
 {
     // Sub-matrix views: leading dims larger than the logical width.
-    const simd::Ops &scalar = simd::opsFor(simd::Level::Scalar);
-    const simd::Ops &vec = simd::opsFor(simd::detect());
-    Rng rng(12);
-    const size_t m = 17, n = 29, k = 13;
-    const size_t lda = k + 5, ldb = n + 3, ldc = n + 9;
-    std::vector<float> a = randomFloats(m * lda, rng);
-    std::vector<float> b = randomFloats(k * ldb, rng);
-    std::vector<float> c0 = randomFloats(m * ldc, rng), c1 = c0;
-    scalar.gemmF32(a.data(), b.data(), c0.data(), m, n, k, lda, ldb, ldc,
-                   true);
-    vec.gemmF32(a.data(), b.data(), c1.data(), m, n, k, lda, ldb, ldc,
-                true);
-    // The whole buffer must match: padding columns untouched, logical
-    // columns bit-identical.
-    EXPECT_EQ(std::memcmp(c0.data(), c1.data(), c0.size() * sizeof(float)),
-              0);
+    const GemmPool pool(12);
+    const size_t shapes[][3] = {{17, 29, 13}, {6, 16, 256},
+                                {13, 33, 257}, {101, 65, 300},
+                                {7, 192, 800}, {1, 48, 1600}};
+    for (const auto &[m, n, k] : shapes)
+        expectGemmParity(pool.a.data(), pool.b.data(), pool.c.data(), m, n,
+                         k, k + 5, n + 3, n + 9);
+}
+
+TEST(SimdParity, GemmF32KeepsRoundingOrder)
+{
+    // Random data almost never lands within rounding of a different
+    // answer, so every A row and B column here is built to: a fused
+    // multiply-add, a moved k-block boundary, a reordered sum or an
+    // accumulator that starts from C instead of 0 changes the output.
+    struct Case
+    {
+        const char *what;
+        std::vector<std::pair<size_t, float>> x, v; // (p, value)
+        float c0;   // C before an accumulating call
+        float want; // the scalar oracle's answer
+    };
+    const float big = 16777216.0f;                  // 2^24
+    const float third = 1.0f + std::ldexp(1.0f, -12); // (1 + 2^-12)
+    const Case cases[] = {
+        // Per-block sums: (2^24 + 0) + (1 + 1) = 2^24 + 2. One running
+        // sum, or a block boundary at 257, rounds 2^24 + 1 down.
+        {"k-block partial sums", {{0, big}, {256, 1.0f}, {257, 1.0f}},
+         {{0, 1.0f}, {256, 1.0f}, {257, 1.0f}}, 0.0f, big + 2.0f},
+        // One block up to p = 255: 2^24 + 1 + 1 rounds back to 2^24.
+        // A boundary anywhere in (0, 254] sums 2^24 + (1 + 1).
+        {"k block spans 256", {{0, big}, {254, 1.0f}, {255, 1.0f}},
+         {{0, 1.0f}, {254, 1.0f}, {255, 1.0f}}, 0.0f, big},
+        // (1 + 2^-12)^2 rounds (a tie, to even) to 1 + 2^-11, so the
+        // separate multiply and add cancel to 0; an FMA keeps 2^-24.
+        {"separate multiply and add",
+         {{0, -(1.0f + std::ldexp(1.0f, -11))}, {1, third}},
+         {{0, 1.0f}, {1, third}}, 0.0f, 0.0f},
+        // Ascending: 2^24 + 1 + 1 rounds back to 2^24, minus 2^24 is 0.
+        // Pairing (p0 + p1) + (p2 + p3) or even/odd chains gives 1.
+        {"ascending order within a block",
+         {{0, big}, {1, 1.0f}, {2, 1.0f}, {3, -big}},
+         {{0, 1.0f}, {1, 1.0f}, {2, 1.0f}, {3, 1.0f}}, 0.0f, 0.0f},
+        // c += (1 + 1) = 2^24 + 2; starting the sum from C gives 2^24.
+        {"acc starts at 0, then c += acc", {{0, 1.0f}, {1, 1.0f}},
+         {{0, 1.0f}, {1, 1.0f}}, big, big + 2.0f},
+    };
+    const size_t k = 600;
+    // Every output element carries the case, so the 6x16 tile, its row
+    // and column tails and the 1x32/1x8/scalar paths all see it.
+    for (const Case &c : cases) {
+        for (size_t m : {size_t(1), size_t(13)}) {
+            const size_t n = 51;
+            std::vector<float> a(m * k, 0.0f), b(k * n, 0.0f);
+            for (size_t i = 0; i < m; ++i)
+                for (const auto &[p, val] : c.x)
+                    a[i * k + p] = val;
+            for (size_t j = 0; j < n; ++j)
+                for (const auto &[p, val] : c.v)
+                    b[p * n + j] = val;
+            const bool accumulate = c.c0 != 0.0f;
+            for (simd::Level lvl : compiledLevels()) {
+                std::vector<float> out(m * n, c.c0);
+                simd::opsFor(lvl).gemmF32(a.data(), b.data(), out.data(), m,
+                                          n, k, k, n, n, accumulate);
+                for (size_t i = 0; i < m * n; ++i)
+                    ASSERT_LE(ulpDistance(out[i], c.want), kMaxUlps)
+                        << c.what << " at " << simd::levelName(lvl)
+                        << " m=" << m << " element " << i
+                        << " got=" << out[i] << " want=" << c.want;
+            }
+        }
+    }
 }
 
 TEST(SimdParity, GemmInt8Ragged)
@@ -248,18 +362,6 @@ TEST(SimdParity, ScaleInPlaceRagged)
 }
 
 // ---- LSH signatures and the finite scan ------------------------------
-
-/** Every level compiled in and supported here, scalar first. */
-std::vector<simd::Level>
-compiledLevels()
-{
-    std::vector<simd::Level> levels;
-    for (simd::Level lvl :
-         {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Neon})
-        if (simd::available(lvl))
-            levels.push_back(lvl);
-    return levels;
-}
 
 float
 fromBits(uint32_t bits)
@@ -729,6 +831,53 @@ TEST(GuardedForwardOracle, ScalarAndDetectedLevelsAgreeBitForBit)
                         << at << " conv " << c << " reuse stats";
                 }
             }
+        }
+    }
+}
+
+/** Every layer's output of the exact (no reuse installed) CifarNet
+ *  forward of @p images at @p level: each conv and fc multiply is a
+ *  plain gemmF32. The last entry is Network::forward's result. */
+std::vector<Tensor>
+exactCifarForward(simd::Level level, const Tensor &images)
+{
+    EXPECT_TRUE(simd::setActiveLevel(level).ok());
+    Rng rng(1000);
+    Network net = makeCifarNet(rng);
+    std::vector<Tensor> acts;
+    Tensor act = images;
+    for (size_t i = 0; i < net.numLayers(); ++i) {
+        act = net.layer(i).forward(act, /*training=*/false);
+        acts.push_back(act);
+    }
+    const Tensor whole = net.forward(images, /*training=*/false);
+    EXPECT_EQ(0, std::memcmp(whole.data(), act.data(),
+                             act.size() * sizeof(float)))
+        << "layer-by-layer and Network::forward disagree";
+    return acts;
+}
+
+TEST(ExactForwardOracle, ScalarAndDetectedLevelsAgreeBitForBit)
+{
+    LevelRestorer restore;
+    SyntheticConfig cfg;
+    cfg.numSamples = 3;
+    cfg.seed = 17;
+    const Dataset images = makeSyntheticCifar(cfg);
+    // One request (fc rows = 1, the 1x32 path) and a batch of three
+    // (conv1 3072 rows, fc rows = 3).
+    for (const std::vector<size_t> &pick :
+         {std::vector<size_t>{0}, std::vector<size_t>{0, 1, 2}}) {
+        const Tensor x = images.gatherImages(pick);
+        const std::vector<Tensor> ref =
+            exactCifarForward(simd::Level::Scalar, x);
+        const std::vector<Tensor> vec = exactCifarForward(simd::detect(), x);
+        ASSERT_EQ(ref.size(), vec.size());
+        for (size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(ref[i].shape(), vec[i].shape());
+            EXPECT_EQ(0, std::memcmp(ref[i].data(), vec[i].data(),
+                                     ref[i].size() * sizeof(float)))
+                << "batch of " << pick.size() << ", layer " << i;
         }
     }
 }
